@@ -47,8 +47,8 @@ int main() {
   const auto hist = du::histogram(bleus, 0.0, 100.0, 10);
   du::Table t({"BLEU bin", "count", "fraction"});
   for (std::size_t b = 0; b < hist.counts.size(); ++b) {
-    t.add_row({"[" + du::fixed(hist.bin_lo(b), 0) + ", " +
-                   du::fixed(hist.bin_hi(b), 0) + ")",
+    t.add_row({du::concat("[", du::fixed(hist.bin_lo(b), 0), ", ",
+                          du::fixed(hist.bin_hi(b), 0), ")"),
                std::to_string(hist.counts[b]),
                du::fixed(hist.fraction(b), 3)});
   }

@@ -41,7 +41,7 @@ void analyze_local(const desmine::core::MvrGraph& local,
       const auto it = plant.component_of.find(name);
       ++truth_count[it == plant.component_of.end()
                         ? std::string("aux")
-                        : "c" + std::to_string(it->second)];
+                        : du::concat("c", std::to_string(it->second))];
     }
     std::string dominant;
     std::size_t best = 0;

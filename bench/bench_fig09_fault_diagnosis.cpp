@@ -55,14 +55,13 @@ int main() {
     std::cout << "\nday " << anomaly.day + 1 << " ("
               << (anomaly.components.empty()
                       ? "system-wide anomaly"
-                      : "anomaly in components " +
-                            [&] {
-                              std::string s;
-                              for (std::size_t c : anomaly.components) {
-                                s += "c" + std::to_string(c) + " ";
-                              }
-                              return s;
-                            }())
+                      : [&] {
+                          std::string s = "anomaly in components ";
+                          for (std::size_t c : anomaly.components) {
+                            s += du::concat("c", std::to_string(c), " ");
+                          }
+                          return s;
+                        }())
               << "), worst window score "
               << du::fixed(result.anomaly_scores[worst], 3) << ":\n";
 

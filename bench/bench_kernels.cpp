@@ -24,6 +24,7 @@
 #include "tensor/workspace.h"
 #include "text/bleu.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace dt = desmine::tensor;
 namespace dn = desmine::nn;
@@ -80,29 +81,8 @@ static void BM_Gemm(benchmark::State& state, dt::kernels::Backend backend) {
 }
 BENCHMARK_CAPTURE(BM_Gemm, scalar, dt::kernels::Backend::kScalar)
     ->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK_CAPTURE(BM_Gemm, blocked, dt::kernels::Backend::kBlocked)
-    ->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK_CAPTURE(BM_Gemm, avx2, dt::kernels::Backend::kAvx2)
     ->Arg(64)->Arg(128)->Arg(256);
-
-static void BM_GemmI8(benchmark::State& state) {
-  // The int8 decode GEMM (dynamic per-row activation quantization +
-  // int32 accumulation + dequant), on the startup-default backend.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  dt::Matrix a(n, n), w(n, n), c(n, n);
-  a.init_uniform(rng, 1.0f);
-  w.init_uniform(rng, 1.0f);
-  const dt::QuantizedTensor wq = dt::quantize_absmax(w.view());
-  for (auto _ : state) {
-    c.zero();
-    dt::gemm_i8_accum(a.view(), wq, c.view());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_GemmI8)->Arg(64)->Arg(128)->Arg(256);
 
 static void BM_LstmStep(benchmark::State& state) {
   // Forward-only stepping: the greedy-decode / encoder inner loop.
@@ -141,8 +121,6 @@ static void BM_LstmStepBackend(benchmark::State& state,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK_CAPTURE(BM_LstmStepBackend, scalar, dt::kernels::Backend::kScalar)
-    ->Arg(24)->Arg(64);
-BENCHMARK_CAPTURE(BM_LstmStepBackend, blocked, dt::kernels::Backend::kBlocked)
     ->Arg(24)->Arg(64);
 BENCHMARK_CAPTURE(BM_LstmStepBackend, avx2, dt::kernels::Backend::kAvx2)
     ->Arg(24)->Arg(64);
@@ -236,8 +214,8 @@ static void BM_TrainPair(benchmark::State& state) {
     dx::Sentence a, b;
     for (int i = 0; i < 6; ++i) {
       const std::size_t w = rng.index(12);
-      a.push_back("s" + std::to_string(w));
-      b.push_back("t" + std::to_string((w + s) % 12));
+      a.push_back(desmine::util::concat("s", std::to_string(w)));
+      b.push_back(desmine::util::concat("t", std::to_string((w + s) % 12)));
     }
     src.push_back(a);
     dst.push_back(b);
@@ -265,8 +243,8 @@ static void BM_CorpusBleu(benchmark::State& state) {
   for (int s = 0; s < 100; ++s) {
     dx::Sentence c, r;
     for (int i = 0; i < 20; ++i) {
-      c.push_back("w" + std::to_string(rng.index(50)));
-      r.push_back("w" + std::to_string(rng.index(50)));
+      c.push_back(desmine::util::concat("w", std::to_string(rng.index(50))));
+      r.push_back(desmine::util::concat("w", std::to_string(rng.index(50))));
     }
     cand.push_back(c);
     ref.push_back(r);

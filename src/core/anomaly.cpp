@@ -96,18 +96,12 @@ DetectionResult AnomalyDetector::detect(
     const obs::ScopedTimer timer("score-edge", edge_ms);
     const text::Corpus& src = test_sentences[edge.src];
     const text::Corpus& dst = test_sentences[edge.dst];
-    // Scoped precision override: each edge owns its model here, so flipping
-    // the decode precision for the window loop races with nothing; the
-    // previous mode is restored before the edge is handed back.
-    const tensor::Precision prev = edge.model->decode_precision();
-    edge.model->set_decode_precision(options.precision);
     for (std::size_t t = 0; t < windows; ++t) {
       if (!excluded.empty() && excluded[t][e]) continue;
       const text::Sentence candidate = edge.model->translate(src[t]);
       result.edge_bleu[e][t] =
           text::sentence_bleu(candidate, dst[t], config_.bleu).score;
     }
-    edge.model->set_decode_precision(prev);
   };
 
   if (config_.threads == 1 || valid_edges_.size() <= 1) {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/mvr_graph.h"
-#include "tensor/kernels.h"
 #include "text/bleu.h"
 
 namespace desmine::core {
@@ -75,10 +74,6 @@ struct DetectOptions {
   /// degraded quorum never fires). The pointed-to mask must outlive the
   /// detect() call.
   const HealthMask* unhealthy = nullptr;
-  /// Numeric mode of the per-edge greedy decodes: kF32 (default) or the
-  /// int8 quantized-weight path (DESIGN.md §16). Each edge model's previous
-  /// decode precision is restored when the call returns.
-  tensor::Precision precision = tensor::Precision::kF32;
 };
 
 class AnomalyDetector {
@@ -99,16 +94,6 @@ class AnomalyDetector {
   /// renormalized over the survivors (see DetectionResult::coverage).
   DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
                          const DetectOptions& options) const;
-
-  /// Deprecated shim for the pre-DetectOptions signature. Callers passing a
-  /// raw mask pointer should move to detect(corpora, DetectOptions{...}).
-  [[deprecated("use detect(test_sentences, DetectOptions{.unhealthy = mask})")]]
-  DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
-                         const HealthMask* unhealthy) const {
-    DetectOptions options;
-    options.unhealthy = unhealthy;
-    return detect(test_sentences, options);
-  }
 
   std::size_t valid_model_count() const { return valid_edges_.size(); }
   const std::vector<MvrEdge>& valid_edges() const { return valid_edges_; }

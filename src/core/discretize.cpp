@@ -4,6 +4,7 @@
 
 #include "util/error.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 namespace desmine::core {
 
@@ -46,7 +47,7 @@ std::string Discretizer::discretize(double value) const {
   // Boundaries may repeat when the training distribution is lumpy; strict
   // comparison keeps the mapping monotone regardless.
   while (bucket < boundaries_.size() && value > boundaries_[bucket]) ++bucket;
-  return "q" + std::to_string(bucket);
+  return util::concat("q", std::to_string(bucket));
 }
 
 EventSequence Discretizer::apply(const std::vector<double>& values) const {

@@ -6,6 +6,7 @@
 
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace desmine::data {
 
@@ -122,7 +123,8 @@ PlantDataset generate_plant(const PlantConfig& config) {
 
     for (std::size_t s = 0; s < config.sensors_per_component; ++s) {
       core::SensorSeries sensor;
-      sensor.name = "c" + std::to_string(c) + ".s" + std::to_string(s);
+      sensor.name =
+          util::concat("c", std::to_string(c), ".s", std::to_string(s));
       sensor.events.reserve(total_minutes);
 
       const std::size_t delay = 3 * s;

@@ -5,6 +5,7 @@
 
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace desmine::data {
 
@@ -62,7 +63,7 @@ SmartDataset generate_smart(const SmartConfig& config) {
 
   for (std::size_t d = 0; d < config.num_drives; ++d) {
     DriveRecord drive;
-    drive.serial = "Z" + std::to_string(100000 + d);
+    drive.serial = util::concat("Z", std::to_string(100000 + d));
     drive.failed = d < num_failed;
     util::Rng drv = rng.fork(d);
     drive.abrupt =

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/json.h"
+#include "tensor/kernels.h"
 #include "util/error.h"
 
 namespace desmine::io {
@@ -251,10 +252,9 @@ JsonValue shadow_to_json(const serve::ShadowConfig& s) {
   return v;
 }
 
-JsonValue tensor_to_json(const tensor::kernels::KernelConfig& t) {
+JsonValue tensor_to_json(const std::string& kernels) {
   JsonValue v = make_object();
-  put_string(v, "kernels", t.kernels);
-  put_string(v, "precision", t.precision);
+  put_string(v, "kernels", kernels);
   return v;
 }
 
@@ -636,7 +636,7 @@ void parse_shadow(const JsonValue& v, const std::string& prefix,
 }
 
 void parse_tensor(const JsonValue& v, const std::string& prefix,
-                  tensor::kernels::KernelConfig* out) {
+                  std::string* kernels) {
   expect_object(v, prefix);
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
@@ -644,17 +644,9 @@ void parse_tensor(const JsonValue& v, const std::string& prefix,
       const std::string name = string_at(value, path);
       tensor::kernels::Backend backend;
       if (name != "auto" && !tensor::kernels::parse_backend(name, &backend)) {
-        bad("key '" + path +
-            "' must be \"auto\", \"scalar\", \"blocked\", or \"avx2\"");
+        bad("key '" + path + "' must be \"auto\", \"scalar\", or \"avx2\"");
       }
-      out->kernels = name;
-    } else if (key == "precision") {
-      const std::string name = string_at(value, path);
-      tensor::Precision precision;
-      if (!tensor::parse_precision(name, &precision)) {
-        bad("key '" + path + "' must be \"f32\" or \"int8\"");
-      }
-      out->precision = name;
+      *kernels = name;
     } else {
       bad("unknown key '" + path + "'");
     }
@@ -686,7 +678,7 @@ std::string run_config_to_json(const RunConfig& config) {
   put_object(doc, "miner", miner_to_json(config.framework.miner));
   put_object(doc, "detector", detector_to_json(config.framework.detector));
   put_object(doc, "health", health_to_json(config.health));
-  put_object(doc, "tensor", tensor_to_json(config.tensor));
+  put_object(doc, "tensor", tensor_to_json(config.kernels));
   put_object(doc, "serve", serve_to_json(config.serve));
   put_object(doc, "lifecycle", lifecycle_to_json(config.lifecycle));
   std::string out;
@@ -709,7 +701,7 @@ RunConfig run_config_from_json(std::string_view text) {
     } else if (key == "health") {
       parse_health(value, key, &config.health);
     } else if (key == "tensor") {
-      parse_tensor(value, key, &config.tensor);
+      parse_tensor(value, key, &config.kernels);
     } else if (key == "serve") {
       parse_serve(value, key, &config.serve);
     } else if (key == "lifecycle") {
@@ -720,11 +712,6 @@ RunConfig run_config_from_json(std::string_view text) {
   }
   config.serve.detector = config.framework.detector;
   config.serve.shadow = config.lifecycle.shadow;
-  // tensor.precision was name-validated by parse_tensor, so this parse
-  // cannot fail; the serving layer then decodes under the configured mode.
-  tensor::Precision precision = tensor::Precision::kF32;
-  tensor::parse_precision(config.tensor.precision, &precision);
-  config.serve.precision = precision;
   return config;
 }
 

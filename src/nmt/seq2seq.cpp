@@ -186,9 +186,8 @@ double Seq2SeqModel::evaluate_loss(
   return run_teacher_forced(batch, /*train=*/false);
 }
 
-void Seq2SeqModel::encode_single(const std::vector<std::int32_t>& source,
-                                 tensor::Precision precision) {
-  encoder_.begin(1, nullptr, /*train=*/false, nullptr, ws_, precision);
+void Seq2SeqModel::encode_single(const std::vector<std::int32_t>& source) {
+  encoder_.begin(1, nullptr, /*train=*/false, nullptr, ws_);
   enc_outputs_.clear();
   enc_outputs_.reserve(source.size());
   for (std::int32_t id : source) {
@@ -203,12 +202,11 @@ std::vector<std::int32_t> Seq2SeqModel::translate(
   DESMINE_EXPECTS(!source.empty(), "cannot translate an empty sentence");
 
   ws_->reset();
-  encode_single(source, decode_precision_);
+  encode_single(source);
   const nn::LstmState enc_final = encoder_.state();
 
-  decoder_.begin(1, &enc_final, /*train=*/false, nullptr, ws_,
-                 decode_precision_);
-  attention_.begin(enc_outputs_, 1, ws_, nullptr, decode_precision_);
+  decoder_.begin(1, &enc_final, /*train=*/false, nullptr, ws_);
+  attention_.begin(enc_outputs_, 1, ws_);
 
   std::vector<std::int32_t> output;
   std::int32_t prev = text::Vocabulary::kBos;
@@ -220,7 +218,7 @@ std::vector<std::int32_t> Seq2SeqModel::translate(
     const tensor::ConstMatrixView attn = attention_.step(h_dec);
     const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
     tensor::MatrixView logits = ws_->alloc(1, tgt_vocab());
-    out_.forward_into(attn, logits, decode_precision_);
+    out_.forward_into(attn, logits);
     const std::int32_t next =
         nn::argmax_rows(tensor::ConstMatrixView(logits))[0];
     ws_->rewind(scratch);
@@ -259,8 +257,7 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   // Lock-step ragged encode: rows run to the longest source; a row past its
   // own length steps on <pad> and is immediately rolled back, so its final
   // state is exactly the state at its true length.
-  encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws_,
-                 decode_precision_);
+  encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws_);
   enc_outputs_.clear();
   enc_outputs_.reserve(max_len);
   std::vector<std::int32_t> step_ids(B);
@@ -284,9 +281,8 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   }
   const nn::LstmState enc_final = encoder_.state();
 
-  decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws_,
-                 decode_precision_);
-  attention_.begin(enc_outputs_, B, ws_, &lengths, decode_precision_);
+  decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws_);
+  attention_.begin(enc_outputs_, B, ws_, &lengths);
 
   // Lock-step greedy decode. A finished row keeps stepping (its state no
   // longer feeds anything that is kept), which cannot perturb other rows:
@@ -303,7 +299,7 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
     const tensor::ConstMatrixView attn = attention_.step(h_dec);
     const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
     tensor::MatrixView logits = ws_->alloc(B, tgt_vocab());
-    out_.forward_into(attn, logits, decode_precision_);
+    out_.forward_into(attn, logits);
     const std::vector<std::int32_t> next =
         nn::argmax_rows(tensor::ConstMatrixView(logits));
     ws_->rewind(scratch);
@@ -331,10 +327,8 @@ std::vector<std::int32_t> Seq2SeqModel::translate_beam(
   DESMINE_EXPECTS(!source.empty(), "cannot translate an empty sentence");
   DESMINE_EXPECTS(beam_width >= 1, "beam width must be >= 1");
 
-  // Beam search always runs f32: its log-prob arithmetic is calibrated on
-  // full-precision logits.
   ws_->reset();
-  encode_single(source, tensor::Precision::kF32);
+  encode_single(source);
   attention_.begin(enc_outputs_, 1, ws_);
 
   struct Hypothesis {

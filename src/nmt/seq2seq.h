@@ -84,7 +84,7 @@ class Seq2SeqModel {
   /// kernel on this path (gemm, bias, softmax, LSTM gates, attention,
   /// argmax) computes each output row purely from that row's inputs, so the
   /// returned ids — and any score derived from them — are bit-identical to
-  /// calling translate() per sentence (under either decode precision).
+  /// calling translate() per sentence.
   std::vector<std::vector<std::int32_t>> translate_batch(
       const std::vector<const std::vector<std::int32_t>*>& sources);
 
@@ -109,14 +109,6 @@ class Seq2SeqModel {
   /// then detaches the finished model before publishing it to the graph.
   void use_own_workspace() { ws_ = &own_ws_; }
 
-  /// Numeric mode of greedy decodes (translate / translate_batch and their
-  /// encoder passes): kF32 (default) or the int8 quantized-weight path
-  /// (DESIGN.md §16). Training, evaluate_loss, and beam search always run
-  /// f32 — int8 has no backward, and beam scores feed log-prob arithmetic
-  /// tuned on f32. Set at load/config time, not mid-decode.
-  void set_decode_precision(tensor::Precision p) { decode_precision_ = p; }
-  tensor::Precision decode_precision() const { return decode_precision_; }
-
   nn::ParamRegistry& params() { return registry_; }
   const Seq2SeqConfig& config() const { return config_; }
   /// False when the weights are bound views over external (mapped) storage;
@@ -133,13 +125,11 @@ class Seq2SeqModel {
 
   /// Encoder pass over `source` (batch 1) into the workspace; fills
   /// enc_outputs_ and leaves the encoder holding its final state.
-  void encode_single(const std::vector<std::int32_t>& source,
-                     tensor::Precision precision);
+  void encode_single(const std::vector<std::int32_t>& source);
 
   Seq2SeqConfig config_;
   util::Rng rng_;
   nn::WeightStorage storage_ = nn::WeightStorage::kOwned;
-  tensor::Precision decode_precision_ = tensor::Precision::kF32;
 
   nn::Embedding src_embed_;
   nn::Embedding tgt_embed_;

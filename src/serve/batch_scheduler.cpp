@@ -289,9 +289,7 @@ void BatchScheduler::score_batch(EdgeState& state,
   }
   std::vector<text::Sentence> fresh;
   if (!misses.empty()) {
-    const std::shared_ptr<nmt::TranslationModel> model = edge.acquire();
-    model->set_decode_precision(config_.precision);
-    fresh = model->translate_batch(misses);
+    fresh = edge.acquire()->translate_batch(misses);
     decoded.inc(misses.size());
   }
 

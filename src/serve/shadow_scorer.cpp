@@ -116,9 +116,7 @@ void ShadowScorer::observe(ShadowSample sample) {
         default:
           break;
       }
-      const std::shared_ptr<nmt::TranslationModel> model = edge.acquire();
-      model->set_decode_precision(config_.precision);
-      const double f = model
+      const double f = edge.acquire()
                            ->score(sample.corpora[edge.src],
                                    sample.corpora[edge.dst],
                                    candidate_->detector.bleu)

@@ -23,4 +23,14 @@ std::string trim(std::string_view s);
 /// Render a double with fixed precision (for table output).
 std::string fixed(double v, int precision);
 
+/// Concatenate string pieces (std::string, string_view, const char*, char)
+/// by appending into one buffer. Prefer it over `"lit" + std::string(...)`,
+/// which g++ 12 flags with a false-positive -Wrestrict at -O3.
+template <typename... Parts>
+std::string concat(const Parts&... parts) {
+  std::string out;
+  (out += ... += parts);
+  return out;
+}
+
 }  // namespace desmine::util

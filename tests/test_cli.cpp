@@ -83,6 +83,18 @@ TEST(CliExitCodes, MissingRequiredOptionIsUsageError) {
   EXPECT_EQ(run_cli("generate"), 2);
 }
 
+TEST(CliExitCodes, UnknownOptionIsUsageError) {
+  const TempFile csv("unknown_opt.csv");
+  // A removed option and a typo are both rejected, never silently ignored.
+  EXPECT_EQ(run_cli("generate --out " + csv.path + " --precision int8"), 2);
+  EXPECT_EQ(run_cli("generate --out " + csv.path + " --dayz 1"), 2);
+}
+
+TEST(CliExitCodes, NonNumericValueIsUsageError) {
+  const TempFile csv("non_numeric.csv");
+  EXPECT_EQ(run_cli("generate --out " + csv.path + " --days abc"), 2);
+}
+
 TEST(CliExitCodes, ResumeWithoutCheckpointIsUsageError) {
   const TempFile model("resume_model.bin");
   EXPECT_EQ(run_cli(tiny_train_args(model.path) + " --resume"), 2);

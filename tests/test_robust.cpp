@@ -24,6 +24,7 @@
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace dc = desmine::core;
 namespace dr = desmine::robust;
@@ -59,7 +60,7 @@ std::vector<dc::SensorLanguage> make_languages(std::size_t n,
   Rng rng(seed);
   std::vector<dc::SensorLanguage> langs(n);
   for (std::size_t k = 0; k < n; ++k) {
-    langs[k].name = "s" + std::to_string(k);
+    langs[k].name = du::concat("s", std::to_string(k));
   }
   const auto emit = [&](bool dev, std::size_t count) {
     for (std::size_t s = 0; s < count; ++s) {
@@ -68,7 +69,8 @@ std::vector<dc::SensorLanguage> make_languages(std::size_t n,
       for (std::size_t k = 0; k < n; ++k) {
         dx::Sentence sent;
         for (const auto v : idx) {
-          sent.push_back("w" + std::to_string(k) + "_" + std::to_string(v));
+          sent.push_back(
+              du::concat("w", std::to_string(k), "_", std::to_string(v)));
         }
         (dev ? langs[k].dev : langs[k].train).push_back(sent);
       }

@@ -1,12 +1,14 @@
 // Tests for the serving layer (DESIGN.md §11): batched-vs-sequential
 // bit-identity, multi-session replay equivalence, session isolation under
 // flooding, backpressure/close semantics, the config JSON round-trip, and
-// the deprecated detect() shim.
+// the strict detect() default.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/anomaly.h"
@@ -362,6 +364,7 @@ TEST(ConfigJson, RoundTripsEveryKnob) {
   c.serve.decode_cache = 128;
   c.serve.limits.max_pending_windows = 9;
   c.serve.limits.reject_when_full = true;
+  c.kernels = "scalar";
 
   const std::string json = dio::run_config_to_json(c);
   const dio::RunConfig back = dio::run_config_from_json(json);
@@ -396,6 +399,7 @@ TEST(ConfigJson, RoundTripsEveryKnob) {
   EXPECT_EQ(back.serve.decode_cache, 128u);
   EXPECT_EQ(back.serve.limits.max_pending_windows, 9u);
   EXPECT_TRUE(back.serve.limits.reject_when_full);
+  EXPECT_EQ(back.kernels, "scalar");
   // ServeConfig mirrors the detector section.
   EXPECT_EQ(back.serve.detector.tolerance, 1.25);
 
@@ -414,6 +418,21 @@ TEST(ConfigJson, RejectsUnknownKeysNamingTheDottedPath) {
   }
   EXPECT_THROW(dio::run_config_from_json(R"({"servee": {}})"),
                desmine::PreconditionError);
+
+  // Removed settings are rejected like any typo: the int8 decode precision
+  // key and the "blocked" kernel backend.
+  for (const auto& [doc, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"tensor": {"precision": "f32"}})", "tensor.precision"},
+           {R"({"tensor": {"kernels": "blocked"}})", "tensor.kernels"}}) {
+    try {
+      dio::run_config_from_json(doc);
+      FAIL() << "expected PreconditionError for " << doc;
+    } catch (const desmine::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigJson, ValidatesRangesNamingTheBadKey) {
@@ -451,39 +470,16 @@ TEST(ConfigJson, MalformedJsonNamesTheOffset) {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated detect() shim
+// detect() defaults
 
-TEST(DetectOptions, DeprecatedPointerShimMatchesOptionsOverload) {
+TEST(DetectOptions, DefaultDetectIsStrict) {
   auto& f = fixture();
   const auto series = make_series(80, 40);
   const auto corpora = f.framework.to_corpora(series);
   dc::AnomalyDetector detector(f.framework.graph(), f.cfg.detector);
 
-  const std::size_t windows = corpora.front().size();
-  dc::HealthMask mask(windows);
-  mask[0] = {0};  // exclude sensor 0's edges from the first window
-
-  dc::DetectOptions options;
-  options.unhealthy = &mask;
-  const dc::DetectionResult via_options = detector.detect(corpora, options);
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  const dc::DetectionResult via_shim = detector.detect(corpora, &mask);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-  ASSERT_EQ(via_shim.anomaly_scores.size(), via_options.anomaly_scores.size());
-  for (std::size_t w = 0; w < via_shim.anomaly_scores.size(); ++w) {
-    EXPECT_EQ(bits(via_shim.anomaly_scores[w]),
-              bits(via_options.anomaly_scores[w]));
-    EXPECT_EQ(via_shim.broken_edges[w], via_options.broken_edges[w]);
-  }
-
-  // The two-argument form defaults to strict detection (no mask).
+  // The one-argument form is the two-argument form with default options:
+  // strict detection, no health mask.
   const dc::DetectionResult strict_default = detector.detect(corpora);
   const dc::DetectionResult strict_options =
       detector.detect(corpora, dc::DetectOptions{});

@@ -40,14 +40,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "core/framework.h"
 #include "data/plant.h"
 #include "io/config_json.h"
@@ -64,84 +63,43 @@
 #include "util/table.h"
 
 using namespace desmine;
+using desmine::tools::Args;
 
 namespace {
 
-/// Options that take no value; present means true.
-const std::set<std::string>& boolean_flags() {
-  static const std::set<std::string> flags = {"resume", "degraded",
-                                              "dump-config"};
-  return flags;
+/// Every option desmine_cli understands, across all subcommands.
+const tools::OptionSpec& cli_options() {
+  static const tools::OptionSpec spec{
+      {"anomaly-day", "batch", "checkpoint", "components", "config", "days",
+       "dev", "dropout", "embedding", "health-drop-after",
+       "health-readmit-after", "health-stale-after", "health-unk-rate",
+       "health-unk-window", "hi", "hidden", "kernels", "layers", "lo",
+       "log-json", "log-level", "lr", "max-bad-rows", "max-retries",
+       "metrics-interval-s", "metrics-out", "min-coverage", "minutes",
+       "model", "on-bad-row", "out", "pair-timeout-s", "quarantine", "seed",
+       "sentence", "sentence-stride", "steps", "test", "threads", "tolerance",
+       "trace-out", "train", "word", "word-stride"},
+      {"degraded", "dump-config", "resume"}};
+  return spec;
 }
-
-/// Minimal --key value argument map. Accepts both "--key value" and
-/// "--key=value"; flags listed in boolean_flags() take no value.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw PreconditionError("expected --option, got '" + key + "'");
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (boolean_flags().count(key) != 0) {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw PreconditionError("missing value for --" + key);
-      }
-      values_[key] = argv[++i];
-    }
-  }
-
-  std::string get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      throw PreconditionError("missing required option --" + key);
-    }
-    return it->second;
-  }
-
-  std::string get_or(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  bool flag(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second != "false" && it->second != "0";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// --config FILE as the option baseline; explicit flags override it.
 io::RunConfig base_config(const Args& args) {
+  io::RunConfig run;
   const std::string path = args.get_or("config", "");
-  if (path.empty()) return {};
-  return io::load_run_config(path);
+  if (!path.empty()) run = io::load_run_config(path);
+  run.kernels = args.get_or("kernels", run.kernels);
+  return run;
 }
 
-/// Fold --kernels/--precision over the config file's `tensor` section
-/// (explicit flags win, like every other option). The caller applies the
-/// result via tensor::kernels::apply_kernel_config after any --dump-config
-/// exit, so a dump reflects the flags without requiring the backend to be
-/// available on this machine.
-void merge_tensor_flags(const Args& args, io::RunConfig& run) {
-  run.tensor.kernels = args.get_or("kernels", run.tensor.kernels);
-  run.tensor.precision = args.get_or("precision", run.tensor.precision);
+/// Select the compute backend from the merged `tensor.kernels` setting.
+/// Callers run this after any --dump-config exit, so a dump reflects
+/// --kernels without requiring the backend to be available here.
+void select_kernels(const io::RunConfig& run) {
+  tensor::kernels::select_backend(run.kernels);
+  obs::logger().info("compute kernels selected",
+                     {obs::kv("backend", tensor::kernels::backend_name(
+                                             tensor::kernels::active_backend()))});
 }
 
 core::FrameworkConfig config_from(const Args& args,
@@ -223,16 +181,11 @@ int cmd_generate(const Args& args) {
 int cmd_train(const Args& args) {
   io::RunConfig run = base_config(args);
   run.framework = config_from(args, run.framework);
-  merge_tensor_flags(args, run);
   if (args.flag("dump-config")) {
     std::cout << io::run_config_to_json(run);
     return 0;
   }
-  // Training always runs f32; --kernels still picks the backend it runs on.
-  tensor::kernels::apply_kernel_config(run.tensor);
-  obs::logger().info("compute kernels selected",
-                     {obs::kv("backend", tensor::kernels::backend_name(
-                                             tensor::kernels::active_backend()))});
+  select_kernels(run);
   const auto train_series = io::read_series_csv(args.get("train"));
   const auto dev_series = io::read_series_csv(args.get("dev"));
   core::FrameworkConfig cfg = run.framework;
@@ -310,20 +263,13 @@ int cmd_detect(const Args& args) {
   cfg.detector.min_coverage =
       args.number("min-coverage", cfg.detector.min_coverage);
   const robust::HealthConfig health = health_from(args, run.health);
-  merge_tensor_flags(args, run);
   if (args.flag("dump-config")) {
     run.framework.detector = cfg.detector;
     run.health = health;
     std::cout << io::run_config_to_json(run);
     return 0;
   }
-  const tensor::Precision precision =
-      tensor::kernels::apply_kernel_config(run.tensor);
-  obs::logger().info(
-      "compute kernels selected",
-      {obs::kv("backend", tensor::kernels::backend_name(
-                              tensor::kernels::active_backend())),
-       obs::kv("precision", tensor::precision_name(precision))});
+  select_kernels(run);
 
   const bool degraded_mode = args.flag("degraded");
   io::CsvOptions csv_opts;
@@ -356,9 +302,8 @@ int cmd_detect(const Args& args) {
 
   const auto result =
       degraded_mode
-          ? fw.detect_degraded(test_series, health, report.missing_ticks,
-                               precision)
-          : fw.detect(test_series, precision);
+          ? fw.detect_degraded(test_series, health, report.missing_ticks)
+          : fw.detect(test_series);
 
   std::size_t degraded_windows = 0;
   if (degraded_mode) {
@@ -423,7 +368,8 @@ int cmd_inspect(const Args& args) {
     const auto in = sub.in_degrees();
     std::size_t max_in = 0;
     for (std::size_t v : in) max_in = std::max(max_in, v);
-    t.add_row({"[" + util::fixed(lo, 0) + ", " + util::fixed(hi, 0) + ")",
+    t.add_row({util::concat("[", util::fixed(lo, 0), ", ", util::fixed(hi, 0),
+                            ")"),
                std::to_string(sub.edges().size()) + " (" +
                    util::fixed(100.0 * sub.edges().size() / edges_total, 1) +
                    "%)",
@@ -464,12 +410,10 @@ void usage() {
          "                       flags still win); see --dump-config\n"
          "  --dump-config        print the effective config as JSON and exit\n"
          "                       (also: desmine_cli --dump-config for defaults)\n"
-         "compute kernels (train/detect; config keys tensor.kernels/.precision):\n"
-         "  --kernels auto|scalar|blocked|avx2   backend for the dense kernels\n"
-         "                       (default auto: DESMINE_KERNELS env, else best\n"
-         "                       available for this CPU)\n"
-         "  --precision f32|int8 decode precision for detect scoring (training\n"
-         "                       always runs f32)\n"
+         "compute kernels (train/detect; config key tensor.kernels):\n"
+         "  --kernels auto|scalar|avx2   backend for the dense kernels\n"
+         "                       (default auto: DESMINE_KERNELS env, else avx2\n"
+         "                       when this CPU has it, else scalar)\n"
          "observability (any subcommand; --key=value also accepted):\n"
          "  --log-level trace|debug|info|warn|error|off   (default info)\n"
          "  --log-json FILE      JSON-lines log in addition to stderr\n"
@@ -570,12 +514,13 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   if (command == "--dump-config" || command == "dump-config") {
-    std::cout << io::run_config_to_json({});
+    const io::RunConfig defaults;
+    std::cout << io::run_config_to_json(defaults);
     return 0;
   }
   std::unique_ptr<Args> args;
   try {
-    args = std::make_unique<Args>(argc, argv, 2);
+    args = std::make_unique<Args>(argc, argv, 2, cli_options());
     setup_observability(*args);
   } catch (const std::exception& e) {
     std::cerr << "usage error: " << e.what() << "\n";
