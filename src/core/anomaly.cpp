@@ -1,5 +1,6 @@
 #include "core/anomaly.h"
 
+#include "core/window_verdict.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,7 +16,7 @@ AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
   DESMINE_EXPECTS(config.min_coverage >= 0.0 && config.min_coverage <= 1.0,
                   "min_coverage must lie in [0, 1]");
   for (const MvrEdge& e : graph.edges()) {
-    if (e.bleu >= config_.valid_lo && e.bleu < config_.valid_hi) {
+    if (config_.in_band(e.bleu)) {
       DESMINE_EXPECTS(e.model != nullptr,
                       "valid edge lacks a trained model");
       valid_edges_.push_back(e);
@@ -111,34 +112,24 @@ DetectionResult AnomalyDetector::detect(
     pool.parallel_for(valid_edges_.size(), score_edge);
   }
 
-  const double total = static_cast<double>(valid_edges_.size());
   for (std::size_t t = 0; t < windows; ++t) {
-    std::size_t surviving = 0;
-    std::size_t broken = 0;
+    WindowTally tally(config_);
     for (std::size_t e = 0; e < valid_edges_.size(); ++e) {
       if (!excluded.empty() && excluded[t][e]) continue;
-      ++surviving;
-      if (result.edge_bleu[e][t] <
-          valid_edges_[e].bleu - config_.tolerance) {
-        ++broken;
+      if (tally.score(result.edge_bleu[e][t], valid_edges_[e].bleu)) {
         result.broken_edges[t].push_back(e);
       }
     }
-    result.coverage[t] =
-        total == 0.0 ? 0.0 : static_cast<double>(surviving) / total;
-    if (unhealthy != nullptr && result.coverage[t] < config_.min_coverage) {
-      // Below quorum: no verdict. The placeholder 0.0 keeps the series
-      // NaN-free; `degraded` tells consumers to ignore it. Broken edges of
-      // the surviving (genuinely scored) models are kept for diagnosis.
-      result.degraded[t] = 1;
-      result.anomaly_scores[t] = 0.0;
-      degraded_windows.inc();
-    } else {
-      result.anomaly_scores[t] =
-          surviving == 0 ? 0.0
-                         : static_cast<double>(broken) /
-                               static_cast<double>(surviving);
-    }
+    // Below quorum the window has no verdict: the placeholder 0.0 keeps the
+    // series NaN-free and `degraded` tells consumers to ignore it. Broken
+    // edges of the surviving (genuinely scored) models are kept for
+    // diagnosis.
+    const WindowVerdict verdict =
+        tally.verdict(valid_edges_.size(), unhealthy != nullptr);
+    result.coverage[t] = verdict.coverage;
+    result.anomaly_scores[t] = verdict.score;
+    result.degraded[t] = verdict.degraded;
+    if (verdict.degraded) degraded_windows.inc();
   }
 
   obs::metrics().counter("detector.windows_scored").inc(windows);

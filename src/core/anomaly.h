@@ -38,6 +38,12 @@ struct DetectorConfig {
   double min_coverage = 0.5;
   text::BleuOptions bleu{};  ///< sentence-BLEU options (smoothing on)
   std::size_t threads = 0;   ///< 0 = hardware concurrency
+
+  /// The valid-band rule: a model scores windows only when its training
+  /// BLEU lies in [valid_lo, valid_hi).
+  bool in_band(double bleu) const {
+    return bleu >= valid_lo && bleu < valid_hi;
+  }
 };
 
 /// Per-window exclusion mask for degraded-mode detection: mask[t] holds the

@@ -17,6 +17,7 @@
 //   lifecycle::LifecycleController / DriftMonitor / IncrementalRetrainer
 //                                            — drift -> retrain -> promotion
 //   io::read_csv / save_framework / load_framework — data + artifact io
+//                                              (frameworks: v4 mapped only)
 //   io::RunConfig / run_config_{to,from}_json — config files (--config)
 //   obs::init_logging / metrics / trace      — structured obs surface
 //   obs::telemetry / HttpExposition          — live scrape plane (/metrics)

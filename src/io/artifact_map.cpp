@@ -79,8 +79,8 @@ const char* ArtifactError::section_name(Section s) {
 
 // ---- writer ----------------------------------------------------------------
 
-void write_framework_v4(const core::Framework& framework,
-                        const std::string& path) {
+void save_framework(const core::Framework& framework,
+                    const std::string& path) {
   DESMINE_EXPECTS(framework.fitted(), "cannot save an unfitted framework");
   const core::MvrGraph& graph = framework.graph();
   const auto& graph_edges = graph.edges();
@@ -103,8 +103,7 @@ void write_framework_v4(const core::Framework& framework,
     std::ostringstream meta(std::ios::binary);
     write_vocabulary(meta, e.model->src_vocab());
     write_vocabulary(meta, e.model->tgt_vocab());
-    write_seq2seq_config(meta, e.model->model().config(),
-                         kStreamArtifactVersion);
+    write_seq2seq_config(meta, e.model->model().config());
     metas[i] = std::move(meta).str();
     entry.meta_off = off;
     entry.meta_len = metas[i].size();
@@ -434,8 +433,7 @@ std::shared_ptr<nmt::TranslationModel> ArtifactMap::materialize_edge(
       std::ios::binary);
   text::Vocabulary src_vocab = read_vocabulary(is);
   text::Vocabulary tgt_vocab = read_vocabulary(is);
-  const nmt::Seq2SeqConfig config =
-      read_seq2seq_config(is, kStreamArtifactVersion);
+  const nmt::Seq2SeqConfig config = read_seq2seq_config(is);
 
   auto model = std::make_unique<nmt::Seq2SeqModel>(
       src_vocab.size(), tgt_vocab.size(), config, util::Rng(0), nullptr,

@@ -1,9 +1,9 @@
 // Mapped (v4) model store: page-aligned artifacts served without copying.
 //
-// The v1–v3 stream layouts deserialize every tensor into owned heap memory,
-// so restarting a serving process pays a full decode of the whole graph
-// before the first window can score. The v4 layout instead lays the file out
-// so the kernel's page cache IS the weight storage (DESIGN.md §15):
+// Every framework artifact uses this layout (io::save_framework writes it,
+// io::load_framework and serving open it here). Instead of deserializing
+// every tensor into owned heap memory, the file is laid out so the kernel's
+// page cache IS the weight storage (DESIGN.md §15):
 //
 //   offset 0    64-byte header (fixed):
 //               "DESM" | u32 version=4 | u64 file_size | u64 toc_off |
@@ -45,7 +45,7 @@
 
 namespace desmine::io {
 
-/// The mapped layout's version tag (the current default save format).
+/// The mapped layout's version tag; open() accepts this version only.
 inline constexpr std::uint32_t kMappedArtifactVersion = 4;
 /// Fixed header size; the TOC offset/length live at fixed offsets inside it.
 inline constexpr std::size_t kV4HeaderSize = 64;
@@ -102,13 +102,6 @@ struct EdgeEntry {
   std::uint32_t weights_crc = 0;
   std::vector<ParamExtent> params;  ///< registry order
 };
-
-/// Write a fitted framework as a v4 mapped artifact (crash-safe: staged +
-/// fsync + atomic rename, like every stream artifact). Called by
-/// io::save_framework for version 4; exposed for tests that need the writer
-/// without the dispatch.
-void write_framework_v4(const core::Framework& framework,
-                        const std::string& path);
 
 struct ArtifactMapOptions {
   /// Read the file into heap memory instead of mmap()ing it; every view,
@@ -167,7 +160,7 @@ class ArtifactMap : public std::enable_shared_from_this<ArtifactMap> {
   /// meta+weight extent — the unit serve::ResidencyManager budgets with.
   std::uint64_t edge_cost_bytes(std::size_t index) const;
 
-  /// Materialize every edge into a fitted core::Framework (the v4 arm of
+  /// Materialize every edge into a fitted core::Framework (the body of
   /// io::load_framework). Window config comes from the artifact; detector /
   /// miner settings from `config_overlay`. The returned framework's models
   /// all pin this map.

@@ -3,17 +3,20 @@
 // A mined multivariate relationship graph holds hundreds of trained NMT
 // models; persisting it lets the offline training phase (Algorithm 1) run
 // once while detection, knowledge-discovery and benchmark tooling reload the
-// artifact. Two layouts share the "DESM" magic + u32 version discipline:
+// artifact. Two layouts share the "DESM" magic + u32 version discipline, and
+// each reader accepts exactly one version:
 //
-//  * v1–v3 — a simple tagged little-endian stream:
-//      magic "DESM" | u32 version | payload [| "CRC1" u32 crc   (v3)]
+//  * v3 stream — a simple tagged little-endian stream:
+//      magic "DESM" | u32 version=3 | payload | "CRC1" u32 crc
 //    Matrices are dims + raw f32; vocabularies are token lists; models are
-//    config + parameter tensors in registry order (deterministic). v2 added
-//    the attention kind, v3 the CRC-32 trailer + permanently failed pairs.
-//  * v4 — the mapped, page-aligned layout (io/artifact_map.h): fixed
-//    64-byte header, per-edge meta blobs, 64-byte-aligned raw f32 weight
-//    regions on 4096-byte pages, and a fixed-offset TOC, so serving mmap()s
-//    the file and scores through zero-copy weight views (DESIGN.md §15).
+//    vocabularies + config + parameter tensors in registry order. Used only
+//    for pair-model checkpoint sidecars and, without the header and trailer,
+//    for the v4 layout's per-edge meta blobs.
+//  * v4 mapped — the page-aligned framework layout (io/artifact_map.h):
+//    fixed 64-byte header, per-edge meta blobs, 64-byte-aligned raw f32
+//    weight regions on 4096-byte pages, and a fixed-offset TOC, so serving
+//    mmap()s the file and scores through zero-copy weight views (DESIGN.md
+//    §15). Every framework is written and read in this layout.
 //
 // Artifacts are written crash-safely: the full payload is staged to a temp
 // file in the destination directory, flushed and fsynced, then atomically
@@ -37,12 +40,8 @@
 
 namespace desmine::io {
 
-/// Current (default) artifact format version: v4, the mapped layout.
-inline constexpr std::uint32_t kArtifactVersion = 4;
-
-/// Newest *stream* layout. Pair-model checkpoint sidecars and the v4 TOC's
-/// per-edge meta blobs are serialized with these semantics; older stream
-/// versions (1, 2) are still readable and writable (cross-version tests).
+/// The stream layout's version: checkpoint sidecars and the v4 TOC's
+/// per-edge meta blobs. read_header accepts this version only.
 inline constexpr std::uint32_t kStreamArtifactVersion = 3;
 
 // ---- primitive + component (de)serializers, exposed for tests -------------
@@ -53,31 +52,19 @@ tensor::Matrix read_matrix(std::istream& is);
 void write_vocabulary(std::ostream& os, const text::Vocabulary& v);
 text::Vocabulary read_vocabulary(std::istream& is);
 
-void write_seq2seq_config(std::ostream& os, const nmt::Seq2SeqConfig& c,
-                          std::uint32_t version = kStreamArtifactVersion);
-nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is,
-                                       std::uint32_t version);
+void write_seq2seq_config(std::ostream& os, const nmt::Seq2SeqConfig& c);
+nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is);
 
-/// Stream header: magic "DESM" + the format version being written.
-void write_header(std::ostream& os,
-                  std::uint32_t version = kStreamArtifactVersion);
+/// Stream header: magic "DESM" + kStreamArtifactVersion.
+void write_header(std::ostream& os);
 
-/// Validate the magic and return the stream's version (1..kArtifactVersion).
-/// Every reader takes its version from here — read_translation_model /
-/// read_mvr_graph deliberately have NO defaulted version parameter, so a
-/// caller can never silently skip header parsing.
-std::uint32_t read_header(std::istream& is);
+/// Validate the magic and the version (exactly kStreamArtifactVersion);
+/// throws RuntimeError otherwise.
+void read_header(std::istream& is);
 
 void write_translation_model(std::ostream& os, nmt::TranslationModel& model,
-                             const nmt::Seq2SeqConfig& config,
-                             std::uint32_t version = kStreamArtifactVersion);
-nmt::TranslationModel read_translation_model(std::istream& is,
-                                             std::uint32_t version);
-
-void write_mvr_graph(std::ostream& os, const core::MvrGraph& graph,
-                     const nmt::Seq2SeqConfig& config,
-                     std::uint32_t version = kStreamArtifactVersion);
-core::MvrGraph read_mvr_graph(std::istream& is, std::uint32_t version);
+                             const nmt::Seq2SeqConfig& config);
+nmt::TranslationModel read_translation_model(std::istream& is);
 
 void write_encrypter(std::ostream& os, const core::SensorEncrypter& enc);
 core::SensorEncrypter read_encrypter(std::istream& is);
@@ -95,23 +82,16 @@ void write_file_atomic(const std::string& path, std::string_view payload);
 /// `path` (if any) are untouched.
 void write_artifact_file(const std::string& path, std::string_view payload);
 
-/// Read a whole *stream* artifact file. For v3 payloads (decided by the
-/// version field after the magic) the CRC trailer is verified and stripped;
-/// any truncation or corruption raises RuntimeError. v4 artifacts are
-/// mapped, not streamed — passing one here raises io::ArtifactError (open
-/// them via io::ArtifactMap or load_framework, which dispatches).
+/// Read a whole stream artifact file, verify its CRC trailer and return the
+/// payload without it. Any truncation or corruption, the header's version
+/// field included, raises RuntimeError.
 std::string read_artifact_file(const std::string& path);
-
-/// Magic-check `path` and return its artifact version without reading the
-/// payload (first 8 bytes only). Throws RuntimeError when the file is
-/// missing, shorter than a header, or not a desmine artifact.
-std::uint32_t peek_artifact_version(const std::string& path);
 
 // ---- single pair-model artifacts (checkpoint sidecars) --------------------
 
-/// Persist one trained pair model as a standalone crash-safe artifact
-/// (used by the miner's checkpoint journal). Always the newest stream
-/// layout (v3): sidecars are single models, which gain nothing from pages.
+/// Persist one trained pair model as a standalone crash-safe v3 stream
+/// artifact (used by the miner's checkpoint journal): sidecars are single
+/// models, which gain nothing from pages.
 void save_pair_model(const std::string& path, nmt::TranslationModel& model,
                      const nmt::Seq2SeqConfig& config);
 
@@ -121,21 +101,19 @@ nmt::TranslationModel load_pair_model(const std::string& path);
 
 // ---- whole-framework snapshot ----------------------------------------------
 
-/// Persist a fitted framework (window config, encrypter, graph + models) so
-/// detection can resume in another process. `version` selects the layout:
-/// 4 (default) writes the mapped page-aligned artifact, 1–3 the matching
-/// stream layout (cross-version tooling and tests). Throws RuntimeError on
-/// I/O failure and PreconditionError if the framework is not fitted.
-void save_framework(const core::Framework& framework, const std::string& path,
-                    std::uint32_t version = kArtifactVersion);
+/// Persist a fitted framework (window config, encrypter, graph + models) as
+/// a v4 mapped artifact so detection can resume in another process. Throws
+/// RuntimeError on I/O failure and PreconditionError if the framework is not
+/// fitted.
+void save_framework(const core::Framework& framework, const std::string& path);
 
-/// Reload a snapshot of any version. v4 artifacts are opened via
-/// io::ArtifactMap (header + TOC verified, weights mapped and bound as
-/// zero-copy views); v1–v3 deserialize into owned heap tensors. Either way
-/// the returned framework is fitted, ready to detect, and scores
-/// bit-identically. Detector/miner settings not needed for inference are
-/// restored from `config_overlay` (pass the same FrameworkConfig used at
-/// save time, or a default one and adjust the detector band afterwards).
+/// Reload a v4 snapshot through io::ArtifactMap (header + TOC verified,
+/// weights mapped and bound as zero-copy views). The returned framework is
+/// fitted, ready to detect, and scores bit-identically to the one saved.
+/// Any other version, and any corruption, raises io::ArtifactError.
+/// Detector/miner settings not needed for inference are restored from
+/// `config_overlay` (pass the same FrameworkConfig used at save time, or a
+/// default one and adjust the detector band afterwards).
 core::Framework load_framework(const std::string& path,
                                core::FrameworkConfig config_overlay = {});
 

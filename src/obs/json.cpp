@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/error.h"
 
@@ -173,8 +174,17 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Past kMaxJsonDepth the document is rejected before the recursion
+        // can exhaust the stack.
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type = JsonValue::Type::kString;
@@ -312,27 +322,45 @@ class JsonParser {
     if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
       fail("invalid value");
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    JsonValue v;
+    v.type = JsonValue::Type::kNumber;
+    v.string.assign(text_.substr(start, pos_ - start));
     char* end = nullptr;
-    const double number = std::strtod(token.c_str(), &end);
+    v.number = std::strtod(v.string.c_str(), &end);
     if (end == nullptr || *end != '\0') {
       pos_ = start;
       fail("malformed number");
     }
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    v.number = number;
     return v;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse_document();
+}
+
+std::map<std::string, std::string> flat_members(const JsonValue& v) {
+  if (!v.is_object()) throw RuntimeError("expected a JSON object");
+  std::map<std::string, std::string> out;
+  for (const auto& [key, member] : v.object) {
+    switch (member.type) {
+      case JsonValue::Type::kString:
+      case JsonValue::Type::kNumber: out[key] = member.string; break;
+      case JsonValue::Type::kBool:
+        out[key] = member.boolean ? "true" : "false";
+        break;
+      case JsonValue::Type::kNull: out[key] = "null"; break;
+      default:
+        throw RuntimeError("member '" + key + "' is not a scalar");
+    }
+  }
+  return out;
 }
 
 }  // namespace desmine::obs

@@ -2,15 +2,17 @@
 //
 // The emitter handles comma placement, string escaping, and non-finite
 // number clamping; callers drive nesting with begin/end pairs (checked via
-// DESMINE_ENSURES). The parser (parse_json) covers the full nested grammar
-// needed by config files and the serve protocol: objects, arrays, strings
-// with standard escapes (incl. \uXXXX for the BMP), numbers, booleans, and
-// null. Errors throw util::RuntimeError naming the byte offset. For flat
-// single-level objects on hot paths, robust::parse_flat_json remains the
-// cheaper non-throwing alternative.
+// DESMINE_ENSURES). The parser (parse_json) is the one JSON reader of the
+// project — config files, the serve protocol and checkpoint journals all go
+// through it. It covers objects, arrays, strings with standard escapes
+// (incl. \uXXXX for the BMP), numbers, booleans, and null, nested at most
+// kMaxJsonDepth deep. Errors throw util::RuntimeError naming the byte
+// offset.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,6 +28,9 @@ struct JsonValue {
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// kString: the unescaped value. kNumber: the token as written in the
+  /// source (e.g. "12.50"), so callers that treat numbers as text see it
+  /// unchanged.
   std::string string;
   std::vector<std::pair<std::string, JsonValue>> object;
   std::vector<JsonValue> array;
@@ -41,10 +46,22 @@ struct JsonValue {
   const JsonValue* find(std::string_view key) const;
 };
 
+/// Deepest nesting of objects and arrays parse_json accepts. The deepest
+/// config document is 3 levels; the bound keeps a hostile input from
+/// exhausting the stack.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage is an error). Throws util::RuntimeError with the byte offset of
-/// the first offending character.
+/// the first offending character, including the first container opened
+/// past kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
+
+/// The members of a one-level object as text: strings unescaped, numbers
+/// as their source token, booleans and null as their literal. A repeated
+/// key keeps its last value. Throws util::RuntimeError when `v` is not an
+/// object or a member value is an object or an array.
+std::map<std::string, std::string> flat_members(const JsonValue& v);
 
 class JsonWriter {
  public:

@@ -58,93 +58,6 @@ std::string get_or(const std::map<std::string, std::string>& m,
 
 }  // namespace
 
-bool parse_flat_json(std::string_view line,
-                     std::map<std::string, std::string>& out) {
-  out.clear();
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto parse_string = [&](std::string& s) -> bool {
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    s.clear();
-    while (i < line.size() && line[i] != '"') {
-      char c = line[i++];
-      if (c == '\\') {
-        if (i >= line.size()) return false;
-        const char esc = line[i++];
-        switch (esc) {
-          case '"': s += '"'; break;
-          case '\\': s += '\\'; break;
-          case '/': s += '/'; break;
-          case 'n': s += '\n'; break;
-          case 'r': s += '\r'; break;
-          case 't': s += '\t'; break;
-          case 'u': {
-            if (i + 4 > line.size()) return false;
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = line[i++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // Journal strings only escape control characters this way.
-            s += static_cast<char>(code & 0xFF);
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        s += c;
-      }
-    }
-    if (i >= line.size()) return false;  // unterminated
-    ++i;  // closing quote
-    return true;
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return true;  // empty object
-  while (true) {
-    skip_ws();
-    std::string key;
-    if (!parse_string(key)) return false;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < line.size() && line[i] == '"') {
-      if (!parse_string(value)) return false;
-    } else {
-      // Bare literal: number, true/false/null. Runs to , or }.
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}' &&
-             line[i] != ' ' && line[i] != '\t') {
-        ++i;
-      }
-      if (i == start) return false;
-      value.assign(line.substr(start, i - start));
-    }
-    out[key] = std::move(value);
-    skip_ws();
-    if (i >= line.size()) return false;
-    if (line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (line[i] == '}') return true;
-    return false;
-  }
-}
-
 std::string checkpoint_model_dir(const std::string& journal_path) {
   return journal_path + ".models";
 }
@@ -165,7 +78,9 @@ CheckpointState load_checkpoint(const std::string& path) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     std::map<std::string, std::string> fields;
-    if (!parse_flat_json(line, fields)) {
+    try {
+      fields = obs::flat_members(obs::parse_json(line));
+    } catch (const RuntimeError&) {
       // A crash mid-append leaves a partial trailing line; skip it.
       ++state.skipped_lines;
       continue;

@@ -15,7 +15,7 @@ std::shared_ptr<const ModelGeneration> make_generation(
   gen->id = id;
   gen->detector = detector;
   for (const core::MvrEdge& e : graph.edges()) {
-    if (e.bleu >= detector.valid_lo && e.bleu < detector.valid_hi) {
+    if (detector.in_band(e.bleu)) {
       DESMINE_EXPECTS(e.model != nullptr, "valid edge lacks a trained model");
       EdgeModel edge;
       edge.src = e.src;
@@ -40,7 +40,7 @@ std::shared_ptr<const ModelGeneration> make_generation(
   const auto& entries = gen->residency->map()->edges();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const io::EdgeEntry& e = entries[i];
-    if (e.bleu >= detector.valid_lo && e.bleu < detector.valid_hi) {
+    if (detector.in_band(e.bleu)) {
       DESMINE_EXPECTS(e.has_model, "valid edge lacks a trained model");
       EdgeModel edge;
       edge.src = e.src;

@@ -26,8 +26,8 @@
 
 namespace desmine::serve {
 
-/// One valid edge of a generation. Heap generations (v1–v3 artifacts, or a
-/// graph handed in directly) carry the shared trained model in `model`;
+/// One valid edge of a generation. Heap generations (built from an in-memory
+/// graph) carry the shared trained model in `model`;
 /// mapped (v4) generations leave `model` null and materialize through the
 /// generation's ResidencyManager on demand. Scorers always go through
 /// acquire(), which hides the difference.
@@ -63,8 +63,8 @@ struct ModelGeneration {
 };
 
 /// Build a generation from a trained graph: keep the edges whose training
-/// BLEU lies in [detector.valid_lo, detector.valid_hi) — the same valid-band
-/// rule AnomalyDetector applies. Throws PreconditionError when a valid edge
+/// BLEU is DetectorConfig::in_band — the same valid-band rule
+/// AnomalyDetector applies. Throws PreconditionError when a valid edge
 /// lacks a trained model.
 std::shared_ptr<const ModelGeneration> make_generation(
     const core::MvrGraph& graph, const core::DetectorConfig& detector,

@@ -3,6 +3,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/window_verdict.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -148,9 +149,7 @@ void Session::finalize(std::unique_ptr<PendingWindow> window) {
     out.anomaly_score = 0.0;
     out.coverage = 0.0;
   } else {
-    const double total = static_cast<double>(gen.edges.size());
-    std::size_t surviving = 0;
-    std::size_t broken = 0;
+    core::WindowTally tally(gen.detector);
     for (std::size_t i = 0; i < window->edges.size(); ++i) {
       const EdgeModel& edge = gen.edges[window->edges[i]];
       if (window->edge_status[i] !=
@@ -160,24 +159,17 @@ void Session::finalize(std::unique_ptr<PendingWindow> window) {
         out.failed.emplace_back(edge.src, edge.dst);
         continue;
       }
-      ++surviving;
-      if (window->edge_bleu[i] < edge.train_bleu - gen.detector.tolerance) {
-        ++broken;
+      if (tally.score(window->edge_bleu[i], edge.train_bleu)) {
         out.broken.emplace_back(edge.src, edge.dst);
       }
     }
-    out.coverage =
-        total == 0.0 ? 0.0 : static_cast<double>(surviving) / total;
-    if ((window->masked || !out.failed.empty()) &&
-        out.coverage < gen.detector.min_coverage) {
-      out.degraded = true;
-      out.anomaly_score = 0.0;
+    const core::WindowVerdict verdict = tally.verdict(
+        gen.edges.size(), window->masked || !out.failed.empty());
+    out.coverage = verdict.coverage;
+    out.anomaly_score = verdict.score;
+    out.degraded = verdict.degraded;
+    if (verdict.degraded) {
       obs::metrics().counter("detect.window.degraded").inc();
-    } else {
-      out.anomaly_score = surviving == 0
-                              ? 0.0
-                              : static_cast<double>(broken) /
-                                    static_cast<double>(surviving);
     }
     if (!out.failed.empty()) {
       obs::metrics().counter("serve.window.failed_edges")

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/window_verdict.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "robust/fault_injector.h"
@@ -48,36 +49,26 @@ bool ShadowScorer::admit(const PendingWindow& window) {
 
 std::optional<ShadowSample> ShadowScorer::capture(const PendingWindow& w) {
   if (w.shed) return std::nullopt;
-  // Replicate Session::finalize operation for operation so the mirrored
+  // The same tally and exclusions as Session::finalize, so the mirrored
   // active score is bit-identical to the delivered result.
   const ModelGeneration& gen = *w.generation;
-  const double total = static_cast<double>(gen.edges.size());
-  std::size_t surviving = 0;
-  std::size_t broken = 0;
-  std::size_t failed = 0;
+  core::WindowTally tally(gen.detector);
+  bool any_failed = false;
   for (std::size_t i = 0; i < w.edges.size(); ++i) {
     const EdgeModel& edge = gen.edges[w.edges[i]];
     if (w.edge_status[i] != static_cast<std::uint8_t>(SlotStatus::kScored)) {
-      ++failed;
+      any_failed = true;
       continue;
     }
-    ++surviving;
-    if (w.edge_bleu[i] < edge.train_bleu - gen.detector.tolerance) ++broken;
+    tally.score(w.edge_bleu[i], edge.train_bleu);
   }
-  const double coverage =
-      total == 0.0 ? 0.0 : static_cast<double>(surviving) / total;
   ShadowSample sample;
   sample.corpora = w.corpora;
   sample.unhealthy = w.unhealthy;
   sample.masked = w.masked;
-  if ((w.masked || failed > 0) && coverage < gen.detector.min_coverage) {
-    sample.active_score = 0.0;  // degraded: no verdict
-  } else {
-    sample.active_score = surviving == 0
-                              ? 0.0
-                              : static_cast<double>(broken) /
-                                    static_cast<double>(surviving);
-  }
+  // A degraded window has no verdict; its placeholder score is 0.0.
+  sample.active_score =
+      tally.verdict(gen.edges.size(), w.masked || any_failed).score;
   return sample;
 }
 
@@ -86,8 +77,8 @@ void ShadowScorer::observe(ShadowSample sample) {
   if (sealed_) return;
 
   // Candidate scoring with the same semantics the candidate would serve
-  // with: health-masked edges excluded, failed decodes excluded and the
-  // score renormalized over the survivors.
+  // with: health-masked edges excluded, failed decodes excluded, the score
+  // renormalized over the survivors, and no verdict below the quorum.
   std::vector<char> bad(sample.corpora.size(), 0);
   for (std::size_t node : sample.unhealthy) {
     if (node < bad.size()) bad[node] = 1;
@@ -95,8 +86,7 @@ void ShadowScorer::observe(ShadowSample sample) {
   const auto is_bad = [&bad](std::size_t node) {
     return node < bad.size() && bad[node] != 0;
   };
-  std::size_t surviving = 0;
-  std::size_t broken = 0;
+  core::WindowTally tally(candidate_->detector);
   bool any_failed = false;
   for (const EdgeModel& edge : candidate_->edges) {
     if (is_bad(edge.src) || is_bad(edge.dst)) continue;
@@ -121,8 +111,7 @@ void ShadowScorer::observe(ShadowSample sample) {
                                    sample.corpora[edge.dst],
                                    candidate_->detector.bleu)
                            .score;
-      ++surviving;
-      if (f < edge.train_bleu - candidate_->detector.tolerance) ++broken;
+      tally.score(f, edge.train_bleu);
     } catch (const std::exception& e) {
       any_failed = true;
       obs::metrics().counter("serve.shadow.edge_failures").inc();
@@ -132,9 +121,8 @@ void ShadowScorer::observe(ShadowSample sample) {
     }
   }
   const double candidate_score =
-      surviving == 0
-          ? 0.0
-          : static_cast<double>(broken) / static_cast<double>(surviving);
+      tally.verdict(candidate_->edges.size(), sample.masked || any_failed)
+          .score;
 
   ++sampled_;
   if (any_failed) ++failures_;

@@ -5,7 +5,7 @@
 // ShadowScorer holds the candidate ModelGeneration and mirrors a sampled
 // slice of delivered live windows: for each sampled window it re-scores the
 // window's corpora against the candidate's edge models (same health-mask
-// exclusions, same broken rule f < s - tolerance) and accumulates a
+// exclusions, same core::WindowTally verdict) and accumulates a
 // promotion gate:
 //  * quietness — the fraction of sampled windows where the candidate's
 //    anomaly score reaches `alert_threshold` must stay at or below

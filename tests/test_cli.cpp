@@ -4,9 +4,10 @@
 //   2    usage error
 //   3    training completed but some pairs permanently failed
 //   4    detection completed degraded (windows below the coverage quorum)
-// The CLI binary path is injected by CMake as DESMINE_CLI_PATH; faults are
-// injected into the spawned process via the DESMINE_FAULTS environment
-// variable (see robust::FaultInjector).
+// The CLI binary path is injected by CMake as DESMINE_CLI_PATH (and the
+// serve binary's as DESMINE_SERVE_PATH); faults are injected into the
+// spawned process via the DESMINE_FAULTS environment variable (see
+// robust::FaultInjector).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -221,4 +223,38 @@ TEST(CliExitCodes, ModelLoadFaultIsRuntimeError) {
   EXPECT_EQ(run_cli(detect_args(detect_fixture().test.path),
                     "model.load:0=throw"),
             1);
+}
+
+TEST(CliExitCodes, DeeplyNestedConfigIsUsageError) {
+  // A hostile config must end in a typed error, not a stack overflow.
+  TempFile config("deep.json");
+  {
+    std::ofstream out(config.path);
+    out << std::string(300000, '[') << std::string(300000, ']');
+  }
+  EXPECT_EQ(run_cli(detect_args(detect_fixture().test.path) + " --config " +
+                    config.path),
+            2);
+}
+
+TEST(ServeProtocol, MalformedLinesGetErrorsAndPingGetsOk) {
+  TempFile out("serve_stdout.txt");
+  const std::string cmd =
+      "printf '%s\\n' '{\"op\":\"ping\"}garbage' '{\"op\":\"ping\"}' "
+      "'{\"op\":tru}' '{\"op\":\"open\",\"degraded\":{\"x\":1}}' | " +
+      std::string(DESMINE_SERVE_PATH) + " --model " +
+      detect_fixture().model.path + " --lo 0 --hi 100.5 >" + out.path +
+      " 2>/dev/null";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(status >= 0 && WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::ifstream in(out.path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);
+  const std::string malformed = R"({"ok":false,"error":"malformed JSON line"})";
+  EXPECT_EQ(lines[0], malformed);
+  EXPECT_EQ(lines[1], R"({"ok":true,"op":"ping"})");
+  EXPECT_EQ(lines[2], malformed);
+  EXPECT_EQ(lines[3], malformed);
 }

@@ -5,11 +5,10 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "io/csv.h"
-#include "robust/checkpoint.h"
+#include "obs/json.h"
 #include "robust/fault_injector.h"
 #include "util/crc32.h"
 #include "util/error.h"
@@ -172,8 +171,8 @@ TEST(Csv, QuarantineModeKeepsTicksAndJournalsRows) {
   // Journal: one self-checksummed JSON record per quarantined row.
   const auto lines = read_lines(journal.path);
   ASSERT_EQ(lines.size(), 1u);
-  std::map<std::string, std::string> fields;
-  ASSERT_TRUE(dr::parse_flat_json(lines[0], fields));
+  const auto fields =
+      desmine::obs::flat_members(desmine::obs::parse_json(lines[0]));
   EXPECT_EQ(fields.at("row"), "3");
   EXPECT_EQ(fields.at("expected_fields"), "2");
   EXPECT_EQ(fields.at("got_fields"), "1");
@@ -264,7 +263,7 @@ TEST(Csv, TenThousandRowMalformedCorpusSmoke) {
   EXPECT_EQ(report.missing_ticks.size(), expected_bad);
   const auto lines = read_lines(journal.path);
   ASSERT_EQ(lines.size(), expected_bad);
-  std::map<std::string, std::string> fields;
-  ASSERT_TRUE(dr::parse_flat_json(lines.back(), fields));
+  const auto fields =
+      desmine::obs::flat_members(desmine::obs::parse_json(lines.back()));
   EXPECT_EQ(fields.at("line"), "only_one_field");
 }

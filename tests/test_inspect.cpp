@@ -3,8 +3,8 @@
 //   1    corrupt/unreadable artifact
 //   2    usage error
 // The binary path is injected by CMake as DESMINE_INSPECT_PATH. The tests
-// build real v3/v4 artifacts in-process, then drive the tool as a
-// subprocess — the same way an operator or a CI integrity gate would.
+// build real artifacts in-process, then drive the tool as a subprocess —
+// the same way an operator or a CI integrity gate would.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -35,11 +35,11 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
 };
 
-/// Run desmine_inspect with `args`; returns {exit code, stdout}.
+/// Run desmine_inspect with `args`; returns {exit code, stdout + stderr}.
 std::pair<int, std::string> run_inspect(const std::string& args) {
   const TempFile out("stdout.txt");
   const std::string cmd = std::string(DESMINE_INSPECT_PATH) + " " + args +
-                          " >" + out.path + " 2>/dev/null";
+                          " >" + out.path + " 2>&1";
   const int status = std::system(cmd.c_str());
   std::ifstream is(out.path);
   std::ostringstream buf;
@@ -126,14 +126,33 @@ TEST(InspectCli, MappedArtifactJsonDump) {
   EXPECT_NE(out.find("\"edge_table\":["), std::string::npos) << out;
 }
 
-TEST(InspectCli, StreamArtifactDump) {
-  const TempFile file("v3.bin");
-  di::save_framework(fitted_framework(), file.path,
-                     di::kStreamArtifactVersion);
-  const auto [code, out] = run_inspect("--model " + file.path);
+TEST(InspectCli, JsonEscapesControlCharactersInPath) {
+  const TempFile file("ctl\x01.bin");
+  di::save_framework(fitted_framework(), file.path);
+  const auto [code, out] =
+      run_inspect("--model '" + file.path + "' --json");
   EXPECT_EQ(code, 0);
-  EXPECT_NE(out.find("artifact v3 (stream)"), std::string::npos) << out;
-  EXPECT_NE(out.find("CRC trailer OK"), std::string::npos) << out;
+  EXPECT_NE(out.find("ctl\\u0001.bin"), std::string::npos) << out;
+  EXPECT_EQ(out.find('\x01'), std::string::npos) << out;
+}
+
+TEST(InspectCli, StreamArtifactIsCorruptHeader) {
+  // A v3 stream (here a pair-model sidecar) is not a framework artifact.
+  const TempFile file("v3.bin");
+  const dc::Framework& fw = fitted_framework();
+  const dc::MvrEdge* edge = nullptr;
+  for (const dc::MvrEdge& e : fw.graph().edges()) {
+    if (e.model != nullptr) {
+      edge = &e;
+      break;
+    }
+  }
+  ASSERT_NE(edge, nullptr);
+  di::save_pair_model(file.path, *edge->model,
+                      fw.config().miner.translation.model);
+  const auto [code, out] = run_inspect("--model " + file.path);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find("corrupt artifact [header]"), std::string::npos) << out;
 }
 
 TEST(InspectCli, CorruptTocFailsWithoutVerify) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -75,7 +76,7 @@ TEST(Serialize, TranslationModelRoundTripSameOutputs) {
 
   std::stringstream ss;
   di::write_translation_model(ss, model, cfg.model);
-  auto back = di::read_translation_model(ss, di::kStreamArtifactVersion);
+  auto back = di::read_translation_model(ss);
 
   for (const auto& sentence : src) {
     EXPECT_EQ(back.translate(sentence), model.translate(sentence));
@@ -105,65 +106,11 @@ TEST(Serialize, EncrypterRoundTrip) {
   EXPECT_EQ(back.cardinality("s3"), 3u);
 }
 
-TEST(Serialize, FrameworkSnapshotDetectsIdentically) {
-  // Small pipeline: fit, snapshot, reload, compare detection output.
-  dd::PlantConfig pcfg;
-  pcfg.num_components = 2;
-  pcfg.sensors_per_component = 2;
-  pcfg.num_popular = 0;
-  pcfg.num_lazy = 0;
-  pcfg.num_constant = 1;
-  pcfg.days = 4;
-  pcfg.minutes_per_day = 180;
-  pcfg.anomalies = {{3, {0}}};
-  pcfg.precursors = false;
-  pcfg.seed = 9;
-  const auto plant = dd::generate_plant(pcfg);
-
-  dc::FrameworkConfig fcfg;
-  fcfg.window.word_length = 5;
-  fcfg.window.word_stride = 1;
-  fcfg.window.sentence_length = 5;
-  fcfg.window.sentence_stride = 5;
-  fcfg.miner.translation.model.embedding_dim = 12;
-  fcfg.miner.translation.model.hidden_dim = 12;
-  fcfg.miner.translation.model.num_layers = 1;
-  fcfg.miner.translation.model.dropout = 0.0f;
-  fcfg.miner.translation.trainer.steps = 60;
-  fcfg.miner.translation.trainer.batch_size = 4;
-  fcfg.miner.seed = 3;
-  fcfg.detector.valid_lo = 0.0;
-  fcfg.detector.valid_hi = 100.5;
-
-  dc::Framework fw(fcfg);
-  fw.fit(plant.days_slice(0, 2), plant.days_slice(2, 1));
-
-  const TempFile file("framework.bin");
-  di::save_framework(fw, file.path);
-  dc::Framework loaded = di::load_framework(file.path, fcfg);
-
-  EXPECT_TRUE(loaded.fitted());
-  EXPECT_EQ(loaded.graph().sensor_count(), fw.graph().sensor_count());
-  EXPECT_EQ(loaded.graph().edges().size(), fw.graph().edges().size());
-  for (std::size_t i = 0; i < fw.graph().edges().size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded.graph().edges()[i].bleu,
-                     fw.graph().edges()[i].bleu);
-  }
-
-  const auto test_slice = plant.days_slice(3, 1);
-  const auto r1 = fw.detect(test_slice);
-  const auto r2 = loaded.detect(test_slice);
-  ASSERT_EQ(r1.anomaly_scores.size(), r2.anomaly_scores.size());
-  for (std::size_t t = 0; t < r1.anomaly_scores.size(); ++t) {
-    EXPECT_DOUBLE_EQ(r1.anomaly_scores[t], r2.anomaly_scores[t]);
-  }
-}
-
 namespace {
 
 /// Tiny trained pair-model artifact on disk; the corruption tests below
-/// mutate copies of it. Pair models go through the same crash-safe
-/// write_artifact_file / read_artifact_file path as framework snapshots.
+/// mutate copies of it. Pair models go through the crash-safe
+/// write_artifact_file / read_artifact_file path (v3 stream + CRC trailer).
 std::string make_pair_artifact(const std::string& path) {
   dx::Corpus src = {{"sa", "sb", "sa", "sb"}, {"sb", "sa", "sb", "sa"}};
   dx::Corpus tgt = {{"ta", "tb", "ta", "tb"}, {"tb", "ta", "tb", "ta"}};
@@ -219,78 +166,22 @@ TEST(Serialize, BitFlippedArtifactAlwaysThrows) {
   const TempFile file("pair_bitflip.bin");
   const std::string bytes = make_pair_artifact(file.path);
 
-  // Flip one random byte per round (fixed seed => reproducible failures).
-  // Offsets 4..7 hold the version field and are excluded: a flip there can
-  // legally downgrade the artifact to the pre-CRC v1/v2 format, which loads
-  // without trailer verification by design.
-  Rng rng(2024);
-  for (int round = 0; round < 32; ++round) {
-    std::size_t offset = 0;
-    do {
-      offset = rng.index(bytes.size());
-    } while (offset >= 4 && offset < 8);
+  const auto expect_rejected = [&](std::size_t offset, char mask) {
     std::string corrupt = bytes;
-    corrupt[offset] = static_cast<char>(
-        corrupt[offset] ^ static_cast<char>(rng.uniform_int(1, 255)));
+    corrupt[offset] = static_cast<char>(corrupt[offset] ^ mask);
     write_bytes(file.path, corrupt);
     EXPECT_THROW(di::load_pair_model(file.path), desmine::RuntimeError)
         << "byte flip at offset " << offset << " was not rejected";
+  };
+  // The version field: turning 3 into 2 (offset 4, mask 1) must not skip
+  // the CRC check.
+  for (std::size_t offset = 4; offset < 8; ++offset) expect_rejected(offset, 1);
+  // One random byte per round (fixed seed => reproducible failures).
+  Rng rng(2024);
+  for (int round = 0; round < 32; ++round) {
+    const std::size_t offset = rng.index(bytes.size());
+    expect_rejected(offset, static_cast<char>(rng.uniform_int(1, 255)));
   }
-}
-
-TEST(Serialize, CorruptFrameworkSnapshotThrows) {
-  // The framework loader shares read_artifact_file: a flipped byte in a
-  // saved snapshot must be caught by the CRC before any payload parsing.
-  dd::PlantConfig pcfg;
-  pcfg.num_components = 1;
-  pcfg.sensors_per_component = 2;
-  pcfg.num_popular = 0;
-  pcfg.num_lazy = 0;
-  pcfg.num_constant = 0;
-  pcfg.days = 2;
-  pcfg.minutes_per_day = 60;
-  pcfg.anomalies.clear();
-  pcfg.precursors = false;
-  pcfg.seed = 9;
-  const auto plant = dd::generate_plant(pcfg);
-
-  dc::FrameworkConfig fcfg;
-  fcfg.window.word_length = 5;
-  fcfg.window.word_stride = 1;
-  fcfg.window.sentence_length = 5;
-  fcfg.window.sentence_stride = 5;
-  fcfg.miner.translation.model.embedding_dim = 8;
-  fcfg.miner.translation.model.hidden_dim = 8;
-  fcfg.miner.translation.model.num_layers = 1;
-  fcfg.miner.translation.model.dropout = 0.0f;
-  fcfg.miner.translation.trainer.steps = 20;
-  fcfg.miner.translation.trainer.batch_size = 4;
-  fcfg.miner.seed = 3;
-  dc::Framework fw(fcfg);
-  fw.fit(plant.days_slice(0, 1), plant.days_slice(1, 1));
-
-  const TempFile file("framework_corrupt.bin");
-  di::save_framework(fw, file.path);
-  // Flip a byte inside the first model edge's weight region — a position
-  // guaranteed to be CRC-covered in the (default, v4) layout.
-  std::size_t flip_at = 0;
-  {
-    const auto map = di::ArtifactMap::open(file.path);
-    for (const di::EdgeEntry& e : map->edges()) {
-      if (e.has_model) {
-        flip_at = e.weights_off + e.weights_len / 2;
-        break;
-      }
-    }
-  }
-  ASSERT_GT(flip_at, 0u);
-  std::ifstream is(file.path, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  std::string bytes = buf.str();
-  bytes[flip_at] = static_cast<char>(bytes[flip_at] ^ 0x40);
-  write_bytes(file.path, bytes);
-  EXPECT_THROW(di::load_framework(file.path, fcfg), desmine::RuntimeError);
 }
 
 TEST(Serialize, AtomicWriteLeavesExistingArtifactIntactOnFailure) {
@@ -317,29 +208,35 @@ TEST(Serialize, LoadMissingFileThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Mapped (v4) model store: cross-version matrix, typed corruption errors,
-// page sharing, heap fallback (DESIGN.md §15).
+// Mapped (v4) model store: round trip, rejected versions, typed corruption
+// errors, page sharing, heap fallback (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// One small fitted framework shared by the v4 tests (training dominates
-/// test time; the artifact tests only need *a* graph with real models).
+/// The plant behind the shared framework: two coupled components plus one
+/// constant sensor (dropped by the encrypter), four days, an anomaly on day 3.
+dd::PlantDataset v4_plant() {
+  dd::PlantConfig pcfg;
+  pcfg.num_components = 2;
+  pcfg.sensors_per_component = 2;
+  pcfg.num_popular = 0;
+  pcfg.num_lazy = 0;
+  pcfg.num_constant = 1;
+  pcfg.days = 4;
+  pcfg.minutes_per_day = 180;
+  pcfg.anomalies = {{3, {0}}};
+  pcfg.precursors = false;
+  pcfg.seed = 9;
+  return dd::generate_plant(pcfg);
+}
+
+/// One small fitted framework shared by the framework tests (training
+/// dominates test time; the artifact tests only need *a* graph with real
+/// models).
 const dc::Framework& fitted_framework() {
   static const dc::Framework* fw = [] {
-    dd::PlantConfig pcfg;
-    pcfg.num_components = 2;
-    pcfg.sensors_per_component = 2;
-    pcfg.num_popular = 0;
-    pcfg.num_lazy = 0;
-    pcfg.num_constant = 0;
-    pcfg.days = 4;
-    pcfg.minutes_per_day = 180;
-    pcfg.anomalies = {{3, {0}}};
-    pcfg.precursors = false;
-    pcfg.seed = 9;
-    const auto plant = dd::generate_plant(pcfg);
-
+    const auto plant = v4_plant();
     dc::FrameworkConfig fcfg;
     fcfg.window.word_length = 5;
     fcfg.window.word_stride = 1;
@@ -361,26 +258,26 @@ const dc::Framework& fitted_framework() {
   return *fw;
 }
 
-dc::MultivariateSeries v4_test_slice() {
-  dd::PlantConfig pcfg;
-  pcfg.num_components = 2;
-  pcfg.sensors_per_component = 2;
-  pcfg.num_popular = 0;
-  pcfg.num_lazy = 0;
-  pcfg.num_constant = 0;
-  pcfg.days = 4;
-  pcfg.minutes_per_day = 180;
-  pcfg.anomalies = {{3, {0}}};
-  pcfg.precursors = false;
-  pcfg.seed = 9;
-  return dd::generate_plant(pcfg).days_slice(3, 1);
-}
+dc::MultivariateSeries v4_test_slice() { return v4_plant().days_slice(3, 1); }
 
 std::string slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream buf;
   buf << is.rdbuf();
   return buf.str();
+}
+
+std::uint64_t bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// The u32 version field after the "DESM" magic.
+std::uint32_t version_field(const std::string& bytes) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  return version;
 }
 
 /// True when the CI heap-fallback job disables mmap process-wide; tests
@@ -392,26 +289,84 @@ bool forced_heap() {
 
 }  // namespace
 
-TEST(ArtifactV4, CrossVersionMatrixScoresBitIdentically) {
-  // Every writable version must round-trip to bit-identical detection:
-  // v1/v2 (no CRC), v3 (CRC trailer), v4 (mapped). IEEE-754 equality, not
-  // tolerance — the weight bytes are the same bytes.
+TEST(ArtifactV4, RoundTripScoresBitIdentically) {
+  // IEEE-754 equality, not tolerance — the weight bytes are the same bytes,
+  // and every edge-window BLEU and window verdict must match too.
   const dc::Framework& fw = fitted_framework();
   const auto test_slice = v4_test_slice();
+  const TempFile file("roundtrip_v4.bin");
+  di::save_framework(fw, file.path);
+  EXPECT_EQ(version_field(slurp(file.path)), di::kMappedArtifactVersion);
+  dc::Framework loaded = di::load_framework(file.path, fw.config());
+  EXPECT_TRUE(loaded.fitted());
+  EXPECT_EQ(loaded.encrypter().kept_sensors(), fw.encrypter().kept_sensors());
+  EXPECT_EQ(loaded.encrypter().dropped_sensors(),
+            fw.encrypter().dropped_sensors());
+  ASSERT_EQ(loaded.graph().edges().size(), fw.graph().edges().size());
+  for (std::size_t i = 0; i < fw.graph().edges().size(); ++i) {
+    EXPECT_EQ(bits(loaded.graph().edges()[i].bleu),
+              bits(fw.graph().edges()[i].bleu));
+  }
   const auto expect = fw.detect(test_slice);
-  for (std::uint32_t version = 1; version <= di::kArtifactVersion; ++version) {
-    const TempFile file("xver_v" + std::to_string(version) + ".bin");
-    di::save_framework(fw, file.path, version);
-    EXPECT_EQ(di::peek_artifact_version(file.path), version);
-    dc::Framework loaded = di::load_framework(file.path, fw.config());
-    const auto got = loaded.detect(test_slice);
-    ASSERT_EQ(got.anomaly_scores.size(), expect.anomaly_scores.size())
-        << "version " << version;
-    for (std::size_t t = 0; t < expect.anomaly_scores.size(); ++t) {
-      EXPECT_DOUBLE_EQ(got.anomaly_scores[t], expect.anomaly_scores[t])
-          << "version " << version << " tick " << t;
+  const auto got = loaded.detect(test_slice);
+  ASSERT_EQ(got.anomaly_scores.size(), expect.anomaly_scores.size());
+  for (std::size_t t = 0; t < expect.anomaly_scores.size(); ++t) {
+    EXPECT_EQ(bits(got.anomaly_scores[t]), bits(expect.anomaly_scores[t]))
+        << "window " << t;
+    EXPECT_EQ(got.broken_edges[t], expect.broken_edges[t]) << "window " << t;
+  }
+  ASSERT_EQ(got.edge_bleu.size(), expect.edge_bleu.size());
+  for (std::size_t e = 0; e < expect.edge_bleu.size(); ++e) {
+    for (std::size_t t = 0; t < expect.edge_bleu[e].size(); ++t) {
+      EXPECT_EQ(bits(got.edge_bleu[e][t]), bits(expect.edge_bleu[e][t]))
+          << "edge " << e << " window " << t;
     }
   }
+}
+
+TEST(ArtifactV4, OlderFrameworkVersionsAreRejected) {
+  // A framework header naming any version but 4 is a typed header error,
+  // never a fallback parse.
+  const dc::Framework& fw = fitted_framework();
+  const TempFile file("old_version.bin");
+  di::save_framework(fw, file.path);
+  const std::string clean = slurp(file.path);
+  for (std::uint32_t version = 1; version <= 3; ++version) {
+    std::string bytes = clean;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    write_bytes(file.path, bytes);
+    try {
+      di::load_framework(file.path, fw.config());
+      FAIL() << "version " << version << " was not rejected";
+    } catch (const di::ArtifactError& e) {
+      EXPECT_EQ(e.section(), di::ArtifactError::Section::kHeader)
+          << "version " << version << ": " << e.what();
+    }
+  }
+}
+
+TEST(Serialize, CorruptFrameworkSnapshotThrows) {
+  // A flipped weight byte in a saved snapshot must be caught by its edge's
+  // CRC when load_framework materializes the models.
+  const dc::Framework& fw = fitted_framework();
+  const TempFile file("framework_corrupt.bin");
+  di::save_framework(fw, file.path);
+  std::size_t flip_at = 0;
+  {
+    const auto map = di::ArtifactMap::open(file.path);
+    for (const di::EdgeEntry& e : map->edges()) {
+      if (e.has_model) {
+        flip_at = e.weights_off + e.weights_len / 2;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(flip_at, 0u);
+  std::string bytes = slurp(file.path);
+  bytes[flip_at] = static_cast<char>(bytes[flip_at] ^ 0x40);
+  write_bytes(file.path, bytes);
+  EXPECT_THROW(di::load_framework(file.path, fw.config()),
+               desmine::RuntimeError);
 }
 
 TEST(ArtifactV4, MapExposesGraphStructure) {
@@ -570,8 +525,8 @@ TEST(ArtifactV4, MappedModelsRefuseTraining) {
 
 TEST(ArtifactV4, PairModelSidecarsStayStreamV3) {
   const TempFile file("v4_sidecar.bin");
-  make_pair_artifact(file.path);
-  EXPECT_EQ(di::peek_artifact_version(file.path), di::kStreamArtifactVersion);
+  EXPECT_EQ(version_field(make_pair_artifact(file.path)),
+            di::kStreamArtifactVersion);
 }
 
 #ifdef __linux__

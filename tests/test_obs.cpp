@@ -29,108 +29,16 @@ class CaptureSink : public obs::Sink {
   std::vector<obs::LogRecord> records;
 };
 
-/// Minimal recursive-descent JSON validity checker (no value semantics —
-/// just "would a real parser accept this"). Lets the export tests assert
-/// round-trippable output without a JSON dependency.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // {
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // [
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
+/// True when obs::parse_json accepts `text` — the export tests assert
+/// round-trippable output.
+bool valid_json(const std::string& text) {
+  try {
+    obs::parse_json(text);
     return true;
+  } catch (const desmine::RuntimeError&) {
+    return false;
   }
-
-  bool number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* lit) {
-    const std::string_view want(lit);
-    if (s_.compare(pos_, want.size(), want) != 0) return false;
-    pos_ += want.size();
-    return true;
-  }
-
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+}
 
 /// Restores the global logger to its default state when a test exits.
 class LoggerGuard {
@@ -156,7 +64,7 @@ TEST(Json, WriterProducesValidDocuments) {
   w.key("items").begin_array().value(1.0).value(2.0).end_array();
   w.key("nested").begin_object().key("x").value(1.0).end_object();
   w.end_object();
-  EXPECT_TRUE(JsonChecker(w.str()).valid()) << w.str();
+  EXPECT_TRUE(valid_json(w.str())) << w.str();
   EXPECT_NE(w.str().find("\\\""), std::string::npos);
   EXPECT_NE(w.str().find("\\n"), std::string::npos);
 }
@@ -168,6 +76,65 @@ TEST(Json, NonFiniteNumbersBecomeNull) {
   w.value(std::numeric_limits<double>::infinity());
   w.end_array();
   EXPECT_EQ(w.str(), "[null,null]");
+}
+
+TEST(Json, FlatMembersOfTypicalRecord) {
+  const auto kv = obs::flat_members(obs::parse_json(
+      R"({"type":"pair","pair":3,"ok":true,"bleu":91.25,"error":"a \"b\"\nc"})"));
+  EXPECT_EQ(kv.at("type"), "pair");
+  EXPECT_EQ(kv.at("pair"), "3");
+  EXPECT_EQ(kv.at("ok"), "true");
+  EXPECT_EQ(kv.at("bleu"), "91.25");
+  EXPECT_EQ(kv.at("error"), "a \"b\"\nc");
+}
+
+TEST(Json, NumbersKeepTheirSourceText) {
+  const auto kv = obs::flat_members(
+      obs::parse_json(R"({"state":12.50,"fingerprint":2949372173,"n":null})"));
+  EXPECT_EQ(kv.at("state"), "12.50");
+  EXPECT_EQ(kv.at("fingerprint"), "2949372173");
+  EXPECT_EQ(kv.at("n"), "null");
+  EXPECT_DOUBLE_EQ(obs::parse_json("12.50").number, 12.5);
+}
+
+TEST(Json, RejectsMalformedFlatInput) {
+  const auto rejected = [](const std::string& line) {
+    try {
+      obs::flat_members(obs::parse_json(line));
+      return false;
+    } catch (const desmine::RuntimeError&) {
+      return true;
+    }
+  };
+  EXPECT_TRUE(rejected(""));
+  EXPECT_TRUE(rejected("not json"));
+  EXPECT_TRUE(rejected(R"({"type":"pair","pair":)"));
+  EXPECT_TRUE(rejected(R"({"unterminated":"str)"));
+  EXPECT_TRUE(rejected(R"({"op":"ping"}garbage)"));
+  EXPECT_TRUE(rejected(R"({"a":tru})"));
+  EXPECT_TRUE(rejected(R"({"s":{"x":1}})"));
+  EXPECT_TRUE(rejected(R"({"s":[1]})"));
+  EXPECT_TRUE(rejected("[1]"));
+  EXPECT_FALSE(rejected(R"({"op":"ping"})"));
+}
+
+TEST(Json, NestingIsBounded) {
+  // 300k nested arrays would overflow the stack of an unbounded recursive
+  // parser; the bound turns them into an error naming the offset.
+  const std::string deep(300000, '[');
+  try {
+    obs::parse_json(deep);
+    FAIL() << "deep nesting accepted";
+  } catch (const desmine::RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset " +
+                                         std::to_string(obs::kMaxJsonDepth)),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string ok = std::string(obs::kMaxJsonDepth, '[') +
+                         std::string(obs::kMaxJsonDepth, ']');
+  EXPECT_TRUE(valid_json(ok));
+  EXPECT_FALSE(valid_json("[" + ok + "]"));
 }
 
 // -------------------------------------------------------------- logger -----
@@ -245,7 +212,7 @@ TEST(Logger, JsonLinesSinkEmitsValidJson) {
   std::string line = out.str();
   ASSERT_FALSE(line.empty());
   line.pop_back();  // trailing newline
-  EXPECT_TRUE(JsonChecker(line).valid()) << line;
+  EXPECT_TRUE(valid_json(line)) << line;
   EXPECT_NE(line.find("\"level\":\"debug\""), std::string::npos);
   EXPECT_NE(line.find("\"pair\":\"12\""), std::string::npos);
 }
@@ -388,7 +355,7 @@ TEST(Metrics, JsonDumpIsValidAndNamed) {
   obs::metrics().histogram("test.dump.hist").record(3.0);
 
   const std::string json = obs::metrics().to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(valid_json(json)) << json;
   EXPECT_NE(json.find("\"test.dump.counter\""), std::string::npos);
   EXPECT_NE(json.find("\"test.dump.gauge\""), std::string::npos);
   EXPECT_NE(json.find("\"test.dump.hist\""), std::string::npos);
@@ -526,13 +493,13 @@ TEST(Trace, ExportsAreValidJson) {
   obs::tracer().disable();
 
   const std::string chrome = obs::tracer().to_chrome_json();
-  EXPECT_TRUE(JsonChecker(chrome).valid()) << chrome;
+  EXPECT_TRUE(valid_json(chrome)) << chrome;
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(chrome.find("\"fit\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
 
   const std::string tree = obs::tracer().to_tree_json();
-  EXPECT_TRUE(JsonChecker(tree).valid()) << tree;
+  EXPECT_TRUE(valid_json(tree)) << tree;
   // "encrypt" and "mine" nest under "fit" in the tree.
   const auto fit_pos = tree.find("\"fit\"");
   const auto children_pos = tree.find("\"children\"", fit_pos);

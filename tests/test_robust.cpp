@@ -287,28 +287,6 @@ TEST_F(RobustMiner, InjectorSpecParsesDelayAction) {
   EXPECT_EQ(inj.fire("serve.ingest", 1), dr::FaultAction::kNone);
 }
 
-// ----------------------------------------------------------- flat JSON -----
-
-TEST(FlatJson, ParsesTypicalRecord) {
-  std::map<std::string, std::string> kv;
-  ASSERT_TRUE(dr::parse_flat_json(
-      R"({"type":"pair","pair":3,"ok":true,"bleu":91.25,"error":"a \"b\"\nc"})",
-      kv));
-  EXPECT_EQ(kv.at("type"), "pair");
-  EXPECT_EQ(kv.at("pair"), "3");
-  EXPECT_EQ(kv.at("ok"), "true");
-  EXPECT_EQ(kv.at("bleu"), "91.25");
-  EXPECT_EQ(kv.at("error"), "a \"b\"\nc");
-}
-
-TEST(FlatJson, RejectsMalformedInput) {
-  std::map<std::string, std::string> kv;
-  EXPECT_FALSE(dr::parse_flat_json("", kv));
-  EXPECT_FALSE(dr::parse_flat_json("not json", kv));
-  EXPECT_FALSE(dr::parse_flat_json(R"({"type":"pair","pair":)", kv));
-  EXPECT_FALSE(dr::parse_flat_json(R"({"unterminated":"str)", kv));
-}
-
 // ------------------------------------------------------ checkpoint journal --
 
 TEST(Checkpoint, MissingFileLoadsEmpty) {

@@ -1,9 +1,10 @@
 // Tests for the serving layer (DESIGN.md §11): batched-vs-sequential
 // bit-identity, multi-session replay equivalence, session isolation under
-// flooding, backpressure/close semantics, the config JSON round-trip, and
-// the strict detect() default.
+// flooding, backpressure/close semantics, the config JSON round-trip, the
+// strict detect() default and the shadow scorer's quorum.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -17,6 +18,7 @@
 #include "io/config_json.h"
 #include "nmt/translation.h"
 #include "serve/session_manager.h"
+#include "serve/shadow_scorer.h"
 #include "text/bleu.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -489,4 +491,43 @@ TEST(DetectOptions, DefaultDetectIsStrict) {
     EXPECT_EQ(bits(strict_default.anomaly_scores[w]),
               bits(strict_options.anomaly_scores[w]));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shadow scoring
+
+TEST(ShadowScorer, MaskedSampleBelowQuorumIsNoCandidateAlert) {
+  auto& f = fixture();
+  // Every scored edge breaks (f < s + 200 always holds), so any sample with
+  // a verdict scores 1.0 — an alert.
+  dc::DetectorConfig det = f.cfg.detector;
+  det.tolerance = -200.0;
+  det.min_coverage = 0.9;
+  const auto candidate = ds::make_generation(f.framework.graph(), det, 2);
+  const auto& names = f.framework.graph().sensor_names();
+  const std::size_t noise =
+      static_cast<std::size_t>(std::find(names.begin(), names.end(), "noise") -
+                               names.begin());
+  ASSERT_LT(noise, names.size());
+
+  const auto corpora = f.framework.to_corpora(make_series(80, 41));
+  ds::ShadowSample sample;
+  for (const dx::Corpus& c : corpora) sample.corpora.push_back({c.front()});
+  sample.unhealthy = {noise};  // leaves only the lead<->follow edges
+
+  ds::ShadowConfig cfg;
+  cfg.sample_rate = 1.0;
+  cfg.alert_threshold = 0.5;
+  // Strict semantics: no quorum, the survivors' verdict stands.
+  ds::ShadowScorer strict(candidate, cfg, "strict");
+  strict.observe(sample);
+  EXPECT_EQ(strict.status().candidate_alerts, 1u);
+  // Degraded-mode semantics: coverage is below min_coverage, so the sample
+  // has no verdict and cannot count as an alert.
+  sample.masked = true;
+  ds::ShadowScorer masked(candidate, cfg, "masked");
+  masked.observe(sample);
+  EXPECT_EQ(masked.status().sampled, 1u);
+  EXPECT_EQ(masked.status().candidate_alerts, 0u);
+  EXPECT_EQ(masked.status().candidate_mean, 0.0);
 }

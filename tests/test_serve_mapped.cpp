@@ -335,10 +335,9 @@ TEST(ServeMapped, ReloadOfMappedArtifactSwapsGenerations) {
 
 TEST(ServeMapped, ReloadAcrossLayoutsHeapToMapped) {
   auto& f = fixture();
-  // Start from a v3 stream artifact (heap generation), hot-swap to v4.
-  TempFile v3("serve_mapped_v3.bin");
-  dio::save_framework(f.framework, v3.path, dio::kStreamArtifactVersion);
-  ds::SessionManager manager(v3.path, f.serve_config());
+  // Start from the in-memory graph (heap generation), hot-swap to v4.
+  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
+                             f.cfg.window, f.serve_config());
   EXPECT_EQ(manager.registry().current()->residency, nullptr);
 
   const std::uint64_t id = manager.open();
@@ -351,6 +350,46 @@ TEST(ServeMapped, ReloadAcrossLayoutsHeapToMapped) {
   manager.reload(f.artifact.path);  // v4: the new generation maps
   ASSERT_NE(manager.registry().current()->residency, nullptr);
   for (std::size_t t = 60; t < 120; ++t) {
+    ASSERT_EQ(manager.ingest(id, tick_states(series, t)),
+              ds::IngestStatus::kAccepted);
+  }
+  manager.drain();
+  EXPECT_EQ(poll_and_check(manager, id, expected), expected.size());
+}
+
+TEST(ServeMapped, OlderFrameworkVersionIsRejectedAndReloadKeepsServing) {
+  auto& f = fixture();
+  ds::SessionManager manager(f.artifact.path, f.serve_config());
+  const std::uint64_t gen_before = manager.generation();
+
+  std::string clean;
+  {
+    std::ifstream is(f.artifact.path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    clean = buf.str();
+  }
+  TempFile old("serve_mapped_old_version.bin");
+  for (std::uint32_t version = 1; version <= 3; ++version) {
+    std::string bytes = clean;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    {
+      std::ofstream os(old.path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_THROW(ds::SessionManager rejected(old.path, f.serve_config()),
+                 dio::ArtifactError)
+        << "version " << version;
+    EXPECT_THROW(manager.reload(old.path), dio::ArtifactError)
+        << "version " << version;
+    EXPECT_EQ(manager.generation(), gen_before);
+  }
+
+  // The old generation still serves, bit-identically to replay.
+  const auto series = make_series(60, 47);
+  const auto expected = replay_windows(f, series);
+  const std::uint64_t id = manager.open();
+  for (std::size_t t = 0; t < 60; ++t) {
     ASSERT_EQ(manager.ingest(id, tick_states(series, t)),
               ds::IngestStatus::kAccepted);
   }

@@ -5,7 +5,8 @@
 // window scores across sessions by edge model (serve::SessionManager).
 //
 // Protocol: one flat JSON object per line on stdin (default) or per TCP
-// connection (--listen PORT). Requests:
+// connection (--listen PORT); a line with trailing garbage or a nested
+// member value is malformed. Requests:
 //   {"op": "open"}                        -> {"ok":true,"op":"open","session":N}
 //     optional "degraded": "true" for per-session health tracking
 //   {"op": "ingest", "session": "N", "<sensor>": "<state>", ...}
@@ -77,7 +78,6 @@
 #include "args.h"
 #include "desmine.h"
 #include "obs/json.h"
-#include "robust/checkpoint.h"
 #include "robust/interrupt.h"
 #include "util/error.h"
 #include "util/version.h"
@@ -334,7 +334,9 @@ class Protocol {
   void handle(const std::string& line, LineWriter& out) {
     if (line.empty()) return;
     std::map<std::string, std::string> fields;
-    if (!robust::parse_flat_json(line, fields)) {
+    try {
+      fields = obs::flat_members(obs::parse_json(line));
+    } catch (const RuntimeError&) {
       out.write(error_line("malformed JSON line"));
       return;
     }
@@ -696,9 +698,8 @@ int main(int argc, char** argv) {
       // Honored by io::ArtifactMap::open for this process and any reload.
       ::setenv("DESMINE_FORCE_HEAP_FALLBACK", "1", 1);
     }
-    // Version-dispatching open: a v4 artifact is mmap()ed and served through
-    // zero-copy weight views (restart-to-first-window is O(header + TOC));
-    // v1–v3 deserialize onto the heap as before. Bit-identical either way.
+    // The v4 artifact is mmap()ed and served through zero-copy weight views
+    // (restart-to-first-window is O(header + TOC)).
     serve::SessionManager manager(model_path, run.serve);
     core::DegradedConfig degraded;
     degraded.enabled = true;
