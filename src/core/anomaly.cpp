@@ -85,10 +85,11 @@ DetectionResult AnomalyDetector::detect(
   }
 
   // Each edge owns its model — and therefore its scoring workspace, which
-  // translate() rewinds and reuses across this window loop — so edges are
-  // independent units of work and the decode path stays allocation-free.
-  // Excluded (edge, window) pairs are skipped entirely: an unhealthy
-  // sensor's sentences are plumbing artifacts, not data worth scoring.
+  // translate_corpus rewinds and reuses across its bounded decode passes —
+  // so edges are independent units of work and the decode path stays
+  // allocation-free. Excluded (edge, window) pairs are never decoded: an
+  // unhealthy sensor's sentences are plumbing artifacts, not data worth
+  // scoring.
   auto score_edge = [&](std::size_t e) {
     const MvrEdge& edge = valid_edges_[e];
     DESMINE_EXPECTS(edge.src < test_sentences.size() &&
@@ -97,11 +98,19 @@ DetectionResult AnomalyDetector::detect(
     const obs::ScopedTimer timer("score-edge", edge_ms);
     const text::Corpus& src = test_sentences[edge.src];
     const text::Corpus& dst = test_sentences[edge.dst];
+    std::vector<std::size_t> rows;  // the windows this edge scores
+    std::vector<const text::Sentence*> sources;
     for (std::size_t t = 0; t < windows; ++t) {
       if (!excluded.empty() && excluded[t][e]) continue;
-      const text::Sentence candidate = edge.model->translate(src[t]);
-      result.edge_bleu[e][t] =
-          text::sentence_bleu(candidate, dst[t], config_.bleu).score;
+      rows.push_back(t);
+      sources.push_back(&src[t]);
+    }
+    const std::vector<text::Sentence> candidates =
+        edge.model->translate_corpus(sources);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      result.edge_bleu[e][rows[k]] =
+          text::sentence_bleu(candidates[k], dst[rows[k]], config_.bleu)
+              .score;
     }
   };
 

@@ -1,8 +1,6 @@
 #include "nmt/seq2seq.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 
 #include "nn/loss.h"
 #include "obs/log.h"
@@ -186,7 +184,11 @@ double Seq2SeqModel::evaluate_loss(
   return run_teacher_forced(batch, /*train=*/false);
 }
 
-void Seq2SeqModel::encode_single(const std::vector<std::int32_t>& source) {
+std::vector<std::int32_t> Seq2SeqModel::translate(
+    const std::vector<std::int32_t>& source) {
+  DESMINE_EXPECTS(!source.empty(), "cannot translate an empty sentence");
+
+  ws_->reset();
   encoder_.begin(1, nullptr, /*train=*/false, nullptr, ws_);
   enc_outputs_.clear();
   enc_outputs_.reserve(source.size());
@@ -195,14 +197,6 @@ void Seq2SeqModel::encode_single(const std::vector<std::int32_t>& source) {
     src_embed_.forward_into({id}, src_emb);
     enc_outputs_.push_back(encoder_.step(src_emb));
   }
-}
-
-std::vector<std::int32_t> Seq2SeqModel::translate(
-    const std::vector<std::int32_t>& source) {
-  DESMINE_EXPECTS(!source.empty(), "cannot translate an empty sentence");
-
-  ws_->reset();
-  encode_single(source);
   const nn::LstmState enc_final = encoder_.state();
 
   decoder_.begin(1, &enc_final, /*train=*/false, nullptr, ws_);
@@ -320,98 +314,6 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
                        obs::kv("unfinished_rows", B - done_count)});
   }
   return outputs;
-}
-
-std::vector<std::int32_t> Seq2SeqModel::translate_beam(
-    const std::vector<std::int32_t>& source, std::size_t beam_width) {
-  DESMINE_EXPECTS(!source.empty(), "cannot translate an empty sentence");
-  DESMINE_EXPECTS(beam_width >= 1, "beam width must be >= 1");
-
-  ws_->reset();
-  encode_single(source);
-  attention_.begin(enc_outputs_, 1, ws_);
-
-  struct Hypothesis {
-    nn::LstmState state;
-    std::vector<std::int32_t> tokens;  ///< emitted ids (no specials)
-    double log_prob = 0.0;
-    bool done = false;
-    std::int32_t last = text::Vocabulary::kBos;
-
-    double normalized() const {
-      return log_prob / static_cast<double>(tokens.size() + 1);
-    }
-  };
-
-  std::vector<Hypothesis> beam(1);
-  beam[0].state = encoder_.state();
-
-  const std::size_t V = tgt_vocab();
-  for (std::size_t t = 0; t < config_.max_decode_length; ++t) {
-    bool all_done = true;
-    std::vector<Hypothesis> candidates;
-    for (const Hypothesis& hyp : beam) {
-      if (hyp.done) {
-        candidates.push_back(hyp);
-        continue;
-      }
-      all_done = false;
-      Hypothesis advanced = hyp;
-      const tensor::Matrix h_dec = decoder_.infer_step(
-          tgt_embed_.forward({hyp.last}), advanced.state);
-      const tensor::Matrix attn = attention_.infer(h_dec);
-      tensor::Matrix logits = out_.forward(attn);
-
-      // Log-softmax over the single row.
-      float mx = logits(0, 0);
-      for (std::size_t v = 1; v < V; ++v) mx = std::max(mx, logits(0, v));
-      double denom = 0.0;
-      for (std::size_t v = 0; v < V; ++v) {
-        denom += std::exp(static_cast<double>(logits(0, v)) - mx);
-      }
-      const double log_denom = std::log(denom) + mx;
-
-      // Expand the top beam_width continuations of this hypothesis.
-      std::vector<std::pair<double, std::int32_t>> scored;
-      scored.reserve(V);
-      for (std::size_t v = 0; v < V; ++v) {
-        const auto id = static_cast<std::int32_t>(v);
-        if (id == text::Vocabulary::kPad || id == text::Vocabulary::kBos) {
-          continue;
-        }
-        scored.emplace_back(static_cast<double>(logits(0, v)) - log_denom, id);
-      }
-      const std::size_t expand = std::min(beam_width, scored.size());
-      std::partial_sort(scored.begin(),
-                        scored.begin() + static_cast<long>(expand),
-                        scored.end(), std::greater<>());
-      for (std::size_t e = 0; e < expand; ++e) {
-        Hypothesis next = advanced;
-        next.log_prob += scored[e].first;
-        if (scored[e].second == text::Vocabulary::kEos) {
-          next.done = true;
-        } else {
-          next.tokens.push_back(scored[e].second);
-          next.last = scored[e].second;
-        }
-        candidates.push_back(std::move(next));
-      }
-    }
-    if (all_done) break;
-
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Hypothesis& a, const Hypothesis& b) {
-                return a.normalized() > b.normalized();
-              });
-    if (candidates.size() > beam_width) candidates.resize(beam_width);
-    beam = std::move(candidates);
-  }
-
-  const auto best = std::max_element(
-      beam.begin(), beam.end(), [](const Hypothesis& a, const Hypothesis& b) {
-        return a.normalized() < b.normalized();
-      });
-  return best->tokens;
 }
 
 }  // namespace desmine::nmt

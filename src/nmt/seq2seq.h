@@ -37,7 +37,7 @@ struct Seq2SeqConfig {
   std::size_t num_layers = 2;      ///< paper: 2
   float dropout = 0.2f;            ///< paper: 0.2
   float init_scale = 0.1f;
-  std::size_t max_decode_length = 64;  ///< decode cap (greedy and beam)
+  std::size_t max_decode_length = 64;  ///< greedy decode cap
   nn::AttentionScore attention = nn::AttentionScore::kGeneral;
 };
 
@@ -72,27 +72,23 @@ class Seq2SeqModel {
   double evaluate_loss(const std::vector<const EncodedPair*>& batch);
 
   /// Greedy-decode a single source sentence; returns target ids without
-  /// specials.
+  /// specials. The sequential reference decoder: production code decodes
+  /// through translate_batch(), and the batch-parity tests compare it
+  /// against this one.
   std::vector<std::int32_t> translate(
       const std::vector<std::int32_t>& source);
 
-  /// Greedy-decode B ragged-length sources in one lock-step batched pass
-  /// (the serve layer's score_batch kernel). Sources are padded to the
-  /// longest; encoder rows past their own length are frozen via
-  /// LstmStack::retain_rows and attention masks padded positions to -inf,
-  /// so every kernel still sees each row's exact sequential inputs. Every
-  /// kernel on this path (gemm, bias, softmax, LSTM gates, attention,
-  /// argmax) computes each output row purely from that row's inputs, so the
-  /// returned ids — and any score derived from them — are bit-identical to
-  /// calling translate() per sentence.
+  /// Greedy-decode B ragged-length sources in one lock-step batched pass;
+  /// the one decoder production code calls (serving, detection, dev BLEU).
+  /// Sources are padded to the longest; encoder rows past their own length
+  /// are frozen via LstmStack::retain_rows and attention masks padded
+  /// positions to -inf, so every kernel still sees each row's exact
+  /// sequential inputs. Every kernel on this path (gemm, bias, softmax,
+  /// LSTM gates, attention, argmax) computes each output row purely from
+  /// that row's inputs, so the returned ids — and any score derived from
+  /// them — are bit-identical to calling translate() per sentence.
   std::vector<std::vector<std::int32_t>> translate_batch(
       const std::vector<const std::vector<std::int32_t>*>& sources);
-
-  /// Beam-search decode with the given width; returns the
-  /// length-normalized-highest-log-probability hypothesis (ids without
-  /// specials). beam_width == 1 degenerates to greedy.
-  std::vector<std::int32_t> translate_beam(
-      const std::vector<std::int32_t>& source, std::size_t beam_width);
 
   /// Pre-size the workspace for the largest (source length, target length,
   /// batch) the caller will run, so the hot loop never grows the arena.
@@ -122,10 +118,6 @@ class Seq2SeqModel {
   /// and dropout is active.
   double run_teacher_forced(const std::vector<const EncodedPair*>& batch,
                             bool train);
-
-  /// Encoder pass over `source` (batch 1) into the workspace; fills
-  /// enc_outputs_ and leaves the encoder holding its final state.
-  void encode_single(const std::vector<std::int32_t>& source);
 
   Seq2SeqConfig config_;
   util::Rng rng_;

@@ -1,5 +1,6 @@
 #include "nmt/translation.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -27,10 +28,10 @@ text::BleuBreakdown TranslationModel::score(const text::Corpus& source,
                                             const text::BleuOptions& options) {
   DESMINE_EXPECTS(source.size() == reference.size(),
                   "source/reference corpora must align");
-  text::Corpus candidates;
-  candidates.reserve(source.size());
-  for (const text::Sentence& s : source) candidates.push_back(translate(s));
-  return text::corpus_bleu(candidates, reference, options);
+  std::vector<const text::Sentence*> sources;
+  sources.reserve(source.size());
+  for (const text::Sentence& s : source) sources.push_back(&s);
+  return text::corpus_bleu(translate_corpus(sources), reference, options);
 }
 
 std::vector<text::Sentence> TranslationModel::translate_batch(
@@ -62,20 +63,18 @@ std::vector<text::Sentence> TranslationModel::translate_batch(
   return out;
 }
 
-std::vector<double> TranslationModel::score_batch(
-    const std::vector<const text::Sentence*>& sources,
-    const std::vector<const text::Sentence*>& references,
-    const text::BleuOptions& options) {
-  DESMINE_EXPECTS(sources.size() == references.size(),
-                  "source/reference batches must align");
-  const std::vector<text::Sentence> candidates = translate_batch(sources);
-  std::vector<double> scores(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    DESMINE_EXPECTS(references[i] != nullptr, "null reference sentence");
-    scores[i] =
-        text::sentence_bleu(candidates[i], *references[i], options).score;
+std::vector<text::Sentence> TranslationModel::translate_corpus(
+    const std::vector<const text::Sentence*>& sources) {
+  std::vector<text::Sentence> out;
+  out.reserve(sources.size());
+  for (auto first = sources.begin(); first != sources.end();) {
+    const auto last = first + std::min<std::ptrdiff_t>(
+                                  sources.end() - first, kCorpusDecodeRows);
+    const std::vector<const text::Sentence*> pass(first, last);
+    for (text::Sentence& s : translate_batch(pass)) out.push_back(std::move(s));
+    first = last;
   }
-  return scores;
+  return out;
 }
 
 std::vector<EncodedPair> encode_pairs(const text::Vocabulary& src_vocab,

@@ -25,15 +25,21 @@ struct TranslationConfig {
 
 class TranslationModel {
  public:
+  /// Rows per translate_batch() pass in translate_corpus().
+  static constexpr std::size_t kCorpusDecodeRows = 16;
+
   TranslationModel(text::Vocabulary src_vocab, text::Vocabulary tgt_vocab,
                    std::unique_ptr<Seq2SeqModel> model);
 
   /// Translate one sentence (token strings in, token strings out). Unknown
-  /// source tokens map to <unk>, matching the paper's reserved symbol.
+  /// source tokens map to <unk>, matching the paper's reserved symbol. The
+  /// sequential reference decoder: no production path calls it; the
+  /// batch-parity tests compare translate_batch() against it.
   text::Sentence translate(const text::Sentence& source);
 
   /// Corpus BLEU (0..100) of greedy translations of `source` against
-  /// `reference`. Corpora must be aligned sentence-by-sentence.
+  /// `reference` (decoded by translate_corpus()). Corpora must be aligned
+  /// sentence-by-sentence.
   text::BleuBreakdown score(const text::Corpus& source,
                             const text::Corpus& reference,
                             const text::BleuOptions& options = {});
@@ -45,14 +51,13 @@ class TranslationModel {
   std::vector<text::Sentence> translate_batch(
       const std::vector<const text::Sentence*>& sources);
 
-  /// Batched per-sentence scoring (the serve hot path): sentence BLEU
-  /// (0..100) of the batched greedy translation of each source against its
-  /// aligned reference. Element i is bit-identical to
-  /// sentence_bleu(translate(*sources[i]), *references[i], options).score.
-  std::vector<double> score_batch(
-      const std::vector<const text::Sentence*>& sources,
-      const std::vector<const text::Sentence*>& references,
-      const text::BleuOptions& options = {});
+  /// Translate any number of sentences, none included, through
+  /// translate_batch() in passes of at most kCorpusDecodeRows. The model's
+  /// workspace keeps its high-water mark, so one pass over a whole corpus
+  /// would pin memory proportional to the corpus in every model that ever
+  /// decoded one. Element i is bit-identical to translate(*sources[i]).
+  std::vector<text::Sentence> translate_corpus(
+      const std::vector<const text::Sentence*>& sources);
 
   const text::Vocabulary& src_vocab() const { return src_vocab_; }
   const text::Vocabulary& tgt_vocab() const { return tgt_vocab_; }

@@ -1,12 +1,14 @@
 // Cross-session batched scoring (the serving layer's hot path).
 //
 // Detection sessions emit sentence-windows; each window must be scored by
-// every valid edge model f(i, j). Scoring one window at a time (what
-// OnlineDetector does) decodes each source sentence alone. The scheduler
-// instead keeps one FIFO of (window, edge) work items per edge model, and a
-// worker drains up to SchedulerConfig::max_batch items of ONE edge in a
-// single TranslationModel::score pass: duplicate sources decode once, the
-// rest go through Seq2SeqModel::translate_batch's stacked GEMMs, and a
+// every valid edge model f(i, j). OnlineDetector scores each window as it
+// completes, so every edge decodes a one-row batch; batch detection
+// (AnomalyDetector) batches one stream's windows per edge. The scheduler
+// batches across sessions: it keeps one FIFO of (window, edge) work items
+// per edge model, and a worker drains up to SchedulerConfig::max_batch
+// items of ONE edge into a single TranslationModel::translate_batch call:
+// duplicate sources decode once, the rest go through
+// Seq2SeqModel::translate_batch's stacked GEMMs, and a
 // per-edge decode cache carries results across batches. All three layers
 // preserve IEEE-754 bit-identity with the sequential path because greedy
 // decoding is deterministic and every kernel is row-independent (see

@@ -12,9 +12,10 @@
 // caches with transient scratch allocate the caches first, checkpoint, then
 // allocate scratch and rewind to the checkpoint when the step is done.
 //
-// Workspaces are single-threaded by design; concurrent phases (miner pair
-// training, detector edge scoring) use one thread_local workspace per pool
-// thread. Process-wide traffic is reported through obs::metrics() as the
+// Workspaces are single-threaded by design. Miner pair training uses one
+// thread_local workspace per pool thread; detector edge scoring uses each
+// edge model's own workspace, since edges are the unit of parallel work.
+// Process-wide traffic is reported through obs::metrics() as the
 // `tensor.workspace.bytes_peak` gauge (max over all workspaces ever) and the
 // `tensor.workspace.rewinds` counter.
 #pragma once

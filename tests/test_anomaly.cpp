@@ -2,6 +2,8 @@
 // relationships, anomaly scores, alert matrices.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "core/anomaly.h"
@@ -369,4 +371,82 @@ TEST(AnomalyDetector, NoValidModelsGivesZeroScores) {
   make_corpus(2, 5, src, tgt, 8);
   const auto result = detector.detect({src, tgt});
   for (double s : result.anomaly_scores) EXPECT_DOUBLE_EQ(s, 0.0);
+}
+
+namespace {
+
+std::uint64_t bits(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+/// Every (edge, window) slot must hold the bits of the sequential reference
+/// sentence_bleu(translate(src[t]), dst[t]); slots of edges into an
+/// `excluded_dst` node stay 0.0 (never decoded).
+void expect_sequential_bits(const FanoutFixture& f,
+                            const std::vector<dx::Corpus>& corpora,
+                            const dc::DetectionResult& result,
+                            std::size_t excluded_dst = SIZE_MAX) {
+  for (std::size_t e = 0; e < f.graph.edges().size(); ++e) {
+    const dc::MvrEdge& edge = f.graph.edges()[e];
+    for (std::size_t t = 0; t < corpora[edge.src].size(); ++t) {
+      const double want =
+          edge.dst == excluded_dst
+              ? 0.0
+              : dx::sentence_bleu(edge.model->translate(corpora[edge.src][t]),
+                                  corpora[edge.dst][t], {})
+                    .score;
+      EXPECT_EQ(bits(result.edge_bleu[e][t]), bits(want))
+          << "edge " << e << " window " << t;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(AnomalyDetector, BatchedDecodeBitIdenticalToSequentialReference) {
+  const FanoutFixture& f = fanout_fixture();
+  const dc::AnomalyDetector detector(f.graph, fanout_config(f));
+  constexpr std::size_t kRows = dm::TranslationModel::kCorpusDecodeRows;
+  // More windows than two decode passes hold, with duplicate windows inside
+  // one pass (0, 1) and across passes (t, t + 2 * kRows + 3).
+  dx::Corpus src, aligned;
+  make_corpus(2 * kRows + 3, 5, src, aligned, 21);
+  src[1] = src[0];
+  aligned[1] = aligned[0];
+  for (std::size_t t = 0; t < 7; ++t) {
+    src.push_back(src[t]);
+    aligned.push_back(aligned[t]);
+  }
+  const std::vector<dx::Corpus> corpora = {
+      src, aligned, dx::Corpus(src.size(), dx::Sentence(5, "tc"))};
+  expect_sequential_bits(f, corpora, detector.detect(corpora));
+}
+
+TEST(AnomalyDetector, EdgeMaskedInEveryWindowIsNeverDecoded) {
+  const FanoutFixture& f = fanout_fixture();
+  dc::DetectorConfig cfg = fanout_config(f);
+  cfg.min_coverage = 0.2;
+  const dc::AnomalyDetector detector(f.graph, cfg);
+  dx::Corpus src, aligned, garbage;
+  fanout_corpora(src, aligned, garbage);
+  // Sensor c is unhealthy throughout, so edge a->c has no window to decode:
+  // no empty batch may reach translate_batch (it throws on one).
+  const dc::HealthMask mask(src.size(), std::vector<std::size_t>{2});
+  const std::vector<dx::Corpus> corpora = {src, aligned, garbage};
+  const auto result =
+      detector.detect(corpora, dc::DetectOptions{.unhealthy = &mask});
+  expect_sequential_bits(f, corpora, result, /*excluded_dst=*/2);
+  for (const double c : result.coverage) EXPECT_DOUBLE_EQ(c, 0.5);
+}
+
+TEST(TranslationModelScore, EmptyCorpusScoresLikeEmptyCorpusBleu) {
+  const dx::BleuBreakdown got =
+      fanout_fixture().graph.edges()[0].model->score({}, {});
+  const dx::BleuBreakdown want = dx::corpus_bleu({}, {});
+  EXPECT_EQ(bits(got.score), bits(want.score));
+  EXPECT_EQ(bits(got.brevity_penalty), bits(want.brevity_penalty));
+  EXPECT_EQ(got.precisions, want.precisions);
+  EXPECT_EQ(got.candidate_length + got.reference_length, 0u);
 }

@@ -258,3 +258,28 @@ TEST(ServeProtocol, MalformedLinesGetErrorsAndPingGetsOk) {
   EXPECT_EQ(lines[2], malformed);
   EXPECT_EQ(lines[3], malformed);
 }
+
+TEST(ServeProtocol, OverLongLineGetsErrorAndConnectionStaysUp) {
+  // A valid JSON object just above the 1 MiB line cap, then a ping.
+  TempFile in("serve_long_stdin.txt");
+  TempFile out("serve_long_stdout.txt");
+  {
+    std::ofstream f(in.path);
+    f << R"({"op":"ping","pad":")" << std::string(std::size_t{1} << 20, 'x')
+      << "\"}\n"
+      << R"({"op":"ping"})" << "\n";
+  }
+  const std::string cmd = std::string(DESMINE_SERVE_PATH) + " --model " +
+                          detect_fixture().model.path +
+                          " --lo 0 --hi 100.5 <" + in.path + " >" + out.path +
+                          " 2>/dev/null";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(status >= 0 && WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::ifstream got(out.path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(got, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], R"({"ok":false,"error":"line too long"})");
+  EXPECT_EQ(lines[1], R"({"ok":true,"op":"ping"})");
+}

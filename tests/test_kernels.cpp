@@ -357,7 +357,7 @@ TEST(LstmGates, FusionContractAcrossBackends) {
 }
 
 TEST(LstmGates, CellMayAliasCPrev) {
-  // `out.c` aliasing `c_prev` (in-place inference stepping) must produce
+  // `out.c` aliasing `c_prev` (an in-place cell update) must produce
   // the same values as the non-aliased call.
   Rng rng(110);
   const std::size_t batch = 4, hidden = 9;

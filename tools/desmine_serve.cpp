@@ -40,7 +40,8 @@
 //    "failed":"a->b","shed":false}
 //   `failed` lists edges whose score was unavailable (decode failure or an
 //   open circuit breaker); `shed` marks windows dropped under overload.
-// Errors: {"ok":false,"error":"..."} — the connection stays up.
+// Errors: {"ok":false,"error":"..."} — the connection stays up. A line
+// longer than kMaxLineBytes (1 MiB) answers "line too long" and is skipped.
 //
 // Options: --model FILE (required), --config FILE / --dump-config,
 // --listen PORT, detector band overrides (--lo --hi --tolerance
@@ -59,7 +60,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -533,18 +536,62 @@ class Protocol {
   std::set<std::uint64_t> mine_;
 };
 
+/// Longest protocol line accepted, in bytes (newline excluded). A longer
+/// line gets a "line too long" error and is discarded up to its newline, so
+/// a client that never sends '\n' cannot grow the server's memory.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// Feeds every line read from `fd` (stdin or one TCP connection) to
+/// `protocol` until end of input or an interrupt (a signal, or a shutdown
+/// op after its ack). Lines are consumed by offset and the buffer is
+/// compacted once per read(), so pipelined input costs linear time and the
+/// buffer never holds more than kMaxLineBytes plus one read. A trailing
+/// '\r' is stripped; end of input closes an unterminated last line.
+void serve_lines(int fd, Protocol& protocol, LineWriter& out) {
+  std::string buf;
+  std::size_t pos = 0;      // start of the unconsumed input in buf
+  bool discarding = false;  // inside an over-long line
+  char chunk[65536];
+  while (!robust::interrupted()) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 || (n == 0 && buf.empty())) return;
+    std::size_t from = buf.size();  // buf[0, from) holds no '\n'
+    if (n > 0) {
+      buf.append(chunk, static_cast<std::size_t>(n));
+    } else {
+      buf += '\n';
+    }
+    for (std::size_t nl; (nl = buf.find('\n', from)) != std::string::npos;
+         pos = from = nl + 1) {
+      if (discarding) {
+        discarding = false;
+      } else if (nl - pos > kMaxLineBytes) {
+        out.write(error_line("line too long"));
+      } else {
+        const std::size_t len = nl > pos && buf[nl - 1] == '\r' ? nl - pos - 1
+                                                                 : nl - pos;
+        protocol.handle(buf.substr(pos, len), out);
+        if (robust::interrupted()) return;
+      }
+    }
+    if (!discarding && buf.size() - pos > kMaxLineBytes) {
+      out.write(error_line("line too long"));
+      discarding = true;
+    }
+    buf.erase(0, discarding ? buf.size() : pos);
+    pos = 0;
+    if (n == 0) return;
+  }
+}
+
 int run_stdin(serve::SessionManager& manager, core::DegradedConfig degraded,
               const std::string& model_path) {
   Protocol protocol(manager, degraded, model_path,
                     [] { robust::request_interrupt(); });
   StdoutWriter out;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (robust::interrupted()) return 130;
-    protocol.handle(line, out);
-    if (robust::interrupted()) return 130;  // shutdown op, after its ack
-  }
-  return 0;
+  serve_lines(STDIN_FILENO, protocol, out);
+  return robust::interrupted() ? 130 : 0;
 }
 
 int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
@@ -591,22 +638,15 @@ int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
       open_fds.push_back(fd);
     }
     connections.emplace_back([fd, &manager, degraded, &model_path,
-                              &shutdown_hook] {
+                              &shutdown_hook, &fds_mu, &open_fds] {
       Protocol protocol(manager, degraded, model_path, shutdown_hook);
       FdWriter out(fd);
-      std::string buffer;
-      char chunk[4096];
-      for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n <= 0) break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t nl;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-          std::string line = buffer.substr(0, nl);
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          buffer.erase(0, nl + 1);
-          protocol.handle(line, out);
-        }
+      serve_lines(fd, protocol, out);
+      {
+        // Leave the set before close(): once closed, the fd number can be
+        // reused and the shutdown loop below must never touch it.
+        std::lock_guard lock(fds_mu);
+        open_fds.erase(std::find(open_fds.begin(), open_fds.end(), fd));
       }
       ::close(fd);
     });
