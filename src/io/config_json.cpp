@@ -1,15 +1,16 @@
 #include "io/config_json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <span>
+#include <type_traits>
 #include <utility>
 
+#include "io/config_flags.h"
 #include "obs/json.h"
-#include "tensor/kernels.h"
 #include "util/error.h"
 
 namespace desmine::io {
@@ -17,670 +18,358 @@ namespace {
 
 using obs::JsonValue;
 
-[[noreturn]] void bad(const std::string& what) {
-  throw PreconditionError("config: " + what);
+/// Largest config file load_run_config reads; a larger one is refused.
+constexpr std::size_t kMaxConfigBytes = std::size_t{1} << 20;
+
+/// What values a knob accepts.
+enum class Kind {
+  kInt,     ///< whole number >= 0
+  kPosInt,  ///< whole number >= 1
+  kPort,    ///< whole number in [0, 65535]; 0 = off
+  kNum,     ///< any finite number
+  kNonNeg,  ///< number >= 0
+  kPos,     ///< number > 0
+  kFrac,    ///< number in [0, 1]
+  kBool,
+  kStr,
+  kName,  ///< one of Knob::names; an enum field holds the name's index
+};
+
+/// One row of the knob table, less the field it binds.
+struct Knob {
+  const char* key;   ///< dotted path in the JSON document
+  const char* flag;  ///< tool flag without "--", or nullptr
+  Kind kind;
+  std::span<const char* const> names{};  ///< Kind::kName only
+};
+
+constexpr const char* kAttentionNames[] = {"general", "dot"};
+static_assert(static_cast<int>(nn::AttentionScore::kGeneral) == 0 &&
+              static_cast<int>(nn::AttentionScore::kDot) == 1);
+constexpr const char* kKernelNames[] = {"auto", "scalar", "avx2"};
+
+/// The knob table: one row per RunConfig setting, in document order.
+/// `Config` is RunConfig or const RunConfig; `row(knob, field)` is called
+/// once per row.
+template <class Config, class Row>
+void for_each_knob(Config& c, Row&& row) {
+  using enum Kind;
+  auto& window = c.framework.window;
+  row({"window.word_length", "word", kPosInt}, window.word_length);
+  row({"window.word_stride", "word-stride", kPosInt}, window.word_stride);
+  row({"window.sentence_length", "sentence", kPosInt}, window.sentence_length);
+  row({"window.sentence_stride", "sentence-stride", kPosInt}, window.sentence_stride);
+
+  auto& miner = c.framework.miner;
+  row({"miner.threads", "threads", kInt}, miner.threads);
+  row({"miner.seed", "seed", kInt}, miner.seed);
+  row({"miner.pair_timeout_s", "pair-timeout-s", kNonNeg}, miner.pair_timeout_s);
+  row({"miner.checkpoint_path", "checkpoint", kStr}, miner.checkpoint_path);
+  row({"miner.resume", "resume", kBool}, miner.resume);
+  auto& retry = miner.retry;
+  row({"miner.retry.max_retries", "max-retries", kInt}, retry.max_retries);
+  row({"miner.retry.base_delay_ms", nullptr, kNonNeg}, retry.base_delay_ms);
+  row({"miner.retry.multiplier", nullptr, kNum}, retry.multiplier);
+  row({"miner.retry.max_delay_ms", nullptr, kNonNeg}, retry.max_delay_ms);
+  row({"miner.retry.jitter", nullptr, kFrac}, retry.jitter);
+  auto& model = miner.translation.model;
+  row({"miner.model.embedding_dim", "embedding", kPosInt}, model.embedding_dim);
+  row({"miner.model.hidden_dim", "hidden", kPosInt}, model.hidden_dim);
+  row({"miner.model.num_layers", "layers", kPosInt}, model.num_layers);
+  row({"miner.model.dropout", "dropout", kFrac}, model.dropout);
+  row({"miner.model.init_scale", nullptr, kPos}, model.init_scale);
+  row({"miner.model.max_decode_length", nullptr, kPosInt}, model.max_decode_length);
+  row({"miner.model.attention", nullptr, kName, kAttentionNames}, model.attention);
+  auto& trainer = miner.translation.trainer;
+  row({"miner.trainer.steps", "steps", kPosInt}, trainer.steps);
+  row({"miner.trainer.batch_size", "batch", kPosInt}, trainer.batch_size);
+  row({"miner.trainer.lr", "lr", kPos}, trainer.lr);
+  row({"miner.trainer.clip_norm", nullptr, kNonNeg}, trainer.clip_norm);
+  row({"miner.trainer.lr_decay_start", nullptr, kInt}, trainer.lr_decay_start);
+  row({"miner.trainer.lr_decay_every", nullptr, kInt}, trainer.lr_decay_every);
+  row({"miner.trainer.eval_every", nullptr, kInt}, trainer.eval_every);
+  row({"miner.trainer.patience", nullptr, kPosInt}, trainer.patience);
+  row({"miner.trainer.divergence_factor", nullptr, kNonNeg}, trainer.divergence_factor);
+  row({"miner.bleu.max_order", nullptr, kPosInt}, miner.translation.bleu.max_order);
+  row({"miner.bleu.smooth", nullptr, kBool}, miner.translation.bleu.smooth);
+
+  auto& detector = c.framework.detector;
+  row({"detector.valid_lo", "lo", kNum}, detector.valid_lo);
+  row({"detector.valid_hi", "hi", kNum}, detector.valid_hi);
+  row({"detector.tolerance", "tolerance", kNonNeg}, detector.tolerance);
+  row({"detector.min_coverage", "min-coverage", kFrac}, detector.min_coverage);
+  row({"detector.threads", nullptr, kInt}, detector.threads);
+  row({"detector.bleu.max_order", nullptr, kPosInt}, detector.bleu.max_order);
+  row({"detector.bleu.smooth", nullptr, kBool}, detector.bleu.smooth);
+
+  auto& health = c.health;
+  row({"health.drop_after_missing", "health-drop-after", kPosInt}, health.drop_after_missing);
+  row({"health.stale_after", "health-stale-after", kInt}, health.stale_after);
+  row({"health.max_unk_rate", "health-unk-rate", kFrac}, health.max_unk_rate);
+  row({"health.unk_window", "health-unk-window", kPosInt}, health.unk_window);
+  row({"health.min_unk_samples", nullptr, kPosInt}, health.min_unk_samples);
+  row({"health.readmit_after", "health-readmit-after", kPosInt}, health.readmit_after);
+
+  row({"tensor.kernels", "kernels", kName, kKernelNames}, c.kernels);
+
+  auto& serve = c.serve;
+  row({"serve.workers", "workers", kInt}, serve.workers);
+  row({"serve.max_batch", "max-batch", kPosInt}, serve.max_batch);
+  row({"serve.decode_cache", "decode-cache", kInt}, serve.decode_cache);
+  row({"serve.max_pending_windows", "max-pending", kPosInt}, serve.limits.max_pending_windows);
+  row({"serve.reject_when_full", "reject-when-full", kBool}, serve.limits.reject_when_full);
+  row({"serve.max_consecutive_shed", "max-consecutive-shed", kPosInt}, serve.limits.max_consecutive_shed);
+  row({"serve.max_global_pending", "max-global-pending", kInt}, serve.max_global_pending);
+  row({"serve.max_queue_delay_ms", "max-queue-delay-ms", kNonNeg}, serve.max_queue_delay_ms);
+  row({"serve.circuit_open_after", "circuit-open-after", kInt}, serve.circuit_open_after);
+  row({"serve.circuit_probe_after", "circuit-probe-after", kPosInt}, serve.circuit_probe_after);
+  row({"serve.telemetry_port", "telemetry-port", kPort}, serve.telemetry_port);
+  row({"serve.resident_bytes", "resident-bytes", kInt}, serve.resident_bytes);
+  row({"serve.resident_edges", "resident-edges", kInt}, serve.resident_edges);
+  row({"serve.slow_window_ms", "slow-window-ms", kNonNeg}, serve.slow_window_ms);
+  row({"serve.sliding_window_s", "sliding-window-s", kPos}, serve.sliding_window_s);
+  row({"serve.sliding_epochs", "sliding-epochs", kPosInt}, serve.sliding_epochs);
+
+  auto& drift = c.lifecycle.drift;
+  row({"lifecycle.drift.ewma_alpha", nullptr, kFrac}, drift.ewma_alpha);
+  row({"lifecycle.drift.min_observations", nullptr, kPosInt}, drift.min_observations);
+  row({"lifecycle.drift.hysteresis", nullptr, kPosInt}, drift.hysteresis);
+  row({"lifecycle.drift.drifting_drop", nullptr, kNonNeg}, drift.drifting_drop);
+  row({"lifecycle.drift.drifted_drop", nullptr, kNonNeg}, drift.drifted_drop);
+  row({"lifecycle.drift.break_rate", nullptr, kFrac}, drift.break_rate);
+  row({"lifecycle.drift.max_unk_rate", nullptr, kFrac}, drift.max_unk_rate);
+  auto& retrain = c.lifecycle.retrain;
+  row({"lifecycle.retrain.lr_factor", nullptr, kPos}, retrain.lr_factor);
+  row({"lifecycle.retrain.steps", nullptr, kInt}, retrain.steps);
+  row({"lifecycle.retrain.journal_path", nullptr, kStr}, retrain.journal_path);
+  row({"lifecycle.retrain.warm_start_journal", nullptr, kStr}, retrain.warm_start_journal);
+  auto& shadow = c.lifecycle.shadow;
+  row({"lifecycle.shadow.sample_rate", nullptr, kPos}, shadow.sample_rate);
+  row({"lifecycle.shadow.min_windows", nullptr, kPosInt}, shadow.min_windows);
+  row({"lifecycle.shadow.alert_threshold", nullptr, kFrac}, shadow.alert_threshold);
+  row({"lifecycle.shadow.max_alert_rate", nullptr, kFrac}, shadow.max_alert_rate);
+  row({"lifecycle.shadow.min_agreement", nullptr, kFrac}, shadow.min_agreement);
+  row({"lifecycle.shadow.max_failures", nullptr, kInt}, shadow.max_failures);
 }
 
-// ---------------------------------------------------------------------------
-// Emission. The tree is built as a JsonValue and pretty-printed so that
-// --dump-config output is directly editable; parse_json reads it back.
-
-JsonValue make_object() {
-  JsonValue v;
-  v.type = JsonValue::Type::kObject;
-  return v;
+/// Every knob's flag (or nullptr) by dotted key.
+const std::map<std::string, const char*, std::less<>>& flag_of() {
+  static const auto index = [] {
+    std::map<std::string, const char*, std::less<>> flags;
+    const RunConfig defaults;
+    for_each_knob(defaults, [&](const Knob& knob, const auto&) {
+      flags.emplace(knob.key, knob.flag);
+    });
+    return flags;
+  }();
+  return index;
 }
 
-void put_number(JsonValue& obj, const char* key, double value) {
-  JsonValue v;
-  v.type = JsonValue::Type::kNumber;
-  v.number = value;
-  obj.object.emplace_back(key, std::move(v));
+/// "key 'detector.valid_lo' (--lo)": how a cross-field error names a knob.
+std::string knob_label(std::string_view key) {
+  const char* flag = flag_of().find(key)->second;
+  return "key '" + std::string(key) + "'" +
+         (flag ? std::string(" (--") + flag + ")" : "");
 }
 
-void put_bool(JsonValue& obj, const char* key, bool value) {
-  JsonValue v;
-  v.type = JsonValue::Type::kBool;
-  v.boolean = value;
-  obj.object.emplace_back(key, std::move(v));
+/// Check `v` against the knob's kind and store it in `field`. `label` opens
+/// every error message. Flag text reaches here as the JsonValue a config
+/// file would hold (see flag_value), so flags and keys share every check.
+template <class T>
+void read_value(const Knob& knob, const JsonValue& v, const std::string& label,
+                T& field) {
+  const auto must = [&](bool ok, const std::string& what) {
+    if (!ok) throw PreconditionError(label + " must " + what);
+  };
+  if constexpr (std::is_same_v<T, bool>) {
+    must(v.is_bool(), "be a boolean");
+    field = v.boolean;
+  } else if constexpr (std::is_same_v<T, std::string> || std::is_enum_v<T>) {
+    must(v.is_string(), "be a string");
+    std::size_t i = 0;
+    std::string names;
+    for (; i < knob.names.size() && v.string != knob.names[i]; ++i) {
+      names += (i == 0 ? "\"" : ", \"") + std::string(knob.names[i]) + "\"";
+    }
+    must(knob.kind == Kind::kStr || i < knob.names.size(),
+         "be one of " + names);
+    if constexpr (std::is_enum_v<T>) {
+      field = static_cast<T>(i);
+    } else {
+      field = v.string;
+    }
+  } else {
+    must(v.is_number() && std::isfinite(v.number), "be a number");
+    const double d = v.number;
+    const char* first = v.string.data();
+    const char* last = first + v.string.size();
+    if constexpr (std::is_integral_v<T>) {
+      // Digits are read exactly; other spellings (1e3, 5.0) through the
+      // double, which holds every whole number up to 2^53.
+      std::uint64_t n = 0;
+      const auto [end, ec] = std::from_chars(first, last, n);
+      if (ec != std::errc() || end != last) {
+        must(d >= 0.0 && d == std::floor(d) && d <= 9007199254740992.0,
+             "be a non-negative integer");
+        n = static_cast<std::uint64_t>(d);
+      }
+      must(knob.kind != Kind::kPosInt || n > 0, "be > 0");
+      must(knob.kind != Kind::kPort || n <= 65535, "lie in [0, 65535]");
+      must(n <= std::numeric_limits<T>::max(), "fit its field");
+      field = static_cast<T>(n);
+    } else {
+      must(knob.kind != Kind::kNonNeg || d >= 0.0, "be >= 0");
+      must(knob.kind != Kind::kPos || d > 0.0, "be > 0");
+      must(knob.kind != Kind::kFrac || (d >= 0.0 && d <= 1.0),
+           "lie in [0, 1]");
+      if constexpr (std::is_same_v<T, float>) {
+        // Straight from the token: the exact inverse of the shortest form
+        // run_config_to_json prints, with no rounding through double.
+        const auto [end, ec] = std::from_chars(first, last, field);
+        must(ec == std::errc() && end == last, "fit a float");
+      } else {
+        field = d;
+      }
+    }
+  }
 }
 
-void put_string(JsonValue& obj, const char* key, std::string value) {
+/// The JsonValue a config file would hold for the flag text `text`: a
+/// number or boolean when the text spells one for a knob of that kind,
+/// else a string (which the kind check then rejects).
+JsonValue flag_value(const Knob& knob, const std::string& text) {
   JsonValue v;
   v.type = JsonValue::Type::kString;
-  v.string = std::move(value);
-  obj.object.emplace_back(key, std::move(v));
+  v.string = text;
+  if (knob.kind == Kind::kBool) {
+    if (text == "true" || text == "1" || text == "false" || text == "0") {
+      v.type = JsonValue::Type::kBool;
+      v.boolean = text == "true" || text == "1";
+    }
+  } else if (knob.kind != Kind::kStr && knob.kind != Kind::kName) {
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, v.number);
+    if (ec == std::errc() && end == last) v.type = JsonValue::Type::kNumber;
+  }
+  return v;
 }
 
-void put_object(JsonValue& obj, const char* key, JsonValue child) {
-  obj.object.emplace_back(key, std::move(child));
+/// Collect every knob value in `obj` (at `prefix`) by dotted key; unknown
+/// keys and non-object sections are errors naming the dotted path.
+void collect(const JsonValue& obj, const std::string& prefix,
+             std::map<std::string, const JsonValue*>* leaves) {
+  for (const auto& [key, value] : obj.object) {
+    const std::string path = prefix.empty() ? key : prefix + "." + key;
+    // A section is a proper prefix of some knob key: the first key after
+    // "path." in order starts with it.
+    const auto next = flag_of().lower_bound(path + ".");
+    if (flag_of().count(path) != 0) {
+      (*leaves)[path] = &value;
+    } else if (next == flag_of().end() ||
+               next->first.rfind(path + ".", 0) != 0) {
+      throw PreconditionError("config: unknown key '" + path + "'");
+    } else if (!value.is_object()) {
+      throw PreconditionError("config: key '" + path + "' must be an object");
+    } else {
+      collect(value, path, leaves);
+    }
+  }
 }
 
+/// Overlay the knobs present in the JSON document `text` onto `config`.
+void parse_into(std::string_view text, RunConfig& config) {
+  const JsonValue doc = obs::parse_json(text);
+  if (!doc.is_object()) {
+    throw PreconditionError("config: document must be a JSON object");
+  }
+  std::map<std::string, const JsonValue*> leaves;
+  collect(doc, "", &leaves);
+  for_each_knob(config, [&](const Knob& knob, auto& field) {
+    const auto it = leaves.find(knob.key);
+    if (it == leaves.end()) return;
+    read_value(knob, *it->second, "config: key '" + it->first + "'", field);
+  });
+}
+
+/// The checks that span fields or need a bound no kind expresses, run once
+/// on the merged config; then mirror the sections ServeConfig copies.
+void finish(RunConfig& c) {
+  const auto require = [](bool ok, const char* key, const std::string& what) {
+    if (!ok) throw PreconditionError("config: " + knob_label(key) + what);
+  };
+  const auto& d = c.framework.detector;
+  const auto& drift = c.lifecycle.drift;
+  require(d.valid_lo <= d.valid_hi, "detector.valid_lo",
+          " must be <= " + knob_label("detector.valid_hi"));
+  require(drift.drifting_drop <= drift.drifted_drop,
+          "lifecycle.drift.drifting_drop",
+          " must be <= " + knob_label("lifecycle.drift.drifted_drop"));
+  require(c.framework.miner.translation.model.dropout < 1.0f,
+          "miner.model.dropout", " must lie in [0, 1)");
+  require(drift.ewma_alpha > 0.0, "lifecycle.drift.ewma_alpha",
+          " must lie in (0, 1]");
+  require(c.framework.miner.retry.multiplier >= 1.0, "miner.retry.multiplier",
+          " must be >= 1");
+  c.serve.detector = c.framework.detector;
+  c.serve.shadow = c.lifecycle.shadow;
+}
+
+/// Pretty-print the emitter's tree: objects, booleans, strings, and
+/// numbers as their stored token.
 void dump(const JsonValue& v, std::string& out, int depth) {
-  const auto indent = [&](int d) { out.append(static_cast<std::size_t>(d) * 2, ' '); };
-  switch (v.type) {
-    case JsonValue::Type::kNull: out += "null"; break;
-    case JsonValue::Type::kBool: out += v.boolean ? "true" : "false"; break;
-    case JsonValue::Type::kNumber: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.12g", v.number);
-      out += buf;
-      break;
+  if (v.is_bool()) {
+    out += v.boolean ? "true" : "false";
+  } else if (v.is_number()) {
+    out += v.string;
+  } else if (v.is_string()) {
+    out += obs::JsonWriter::quote(v.string);
+  } else {
+    const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
+    out += "{\n";
+    for (std::size_t i = 0; i < v.object.size(); ++i) {
+      out += indent + "  " + obs::JsonWriter::quote(v.object[i].first) + ": ";
+      dump(v.object[i].second, out, depth + 1);
+      out += i + 1 < v.object.size() ? ",\n" : "\n";
     }
-    case JsonValue::Type::kString: out += obs::JsonWriter::quote(v.string); break;
-    case JsonValue::Type::kObject: {
-      if (v.object.empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{\n";
-      for (std::size_t i = 0; i < v.object.size(); ++i) {
-        indent(depth + 1);
-        out += obs::JsonWriter::quote(v.object[i].first);
-        out += ": ";
-        dump(v.object[i].second, out, depth + 1);
-        if (i + 1 < v.object.size()) out += ',';
-        out += '\n';
-      }
-      indent(depth);
-      out += '}';
-      break;
-    }
-    case JsonValue::Type::kArray: {
-      if (v.array.empty()) {
-        out += "[]";
-        break;
-      }
-      out += "[\n";
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        indent(depth + 1);
-        dump(v.array[i], out, depth + 1);
-        if (i + 1 < v.array.size()) out += ',';
-        out += '\n';
-      }
-      indent(depth);
-      out += ']';
-      break;
-    }
-  }
-}
-
-JsonValue bleu_to_json(const text::BleuOptions& bleu) {
-  JsonValue v = make_object();
-  put_number(v, "max_order", static_cast<double>(bleu.max_order));
-  put_bool(v, "smooth", bleu.smooth);
-  return v;
-}
-
-JsonValue window_to_json(const core::WindowConfig& w) {
-  JsonValue v = make_object();
-  put_number(v, "word_length", static_cast<double>(w.word_length));
-  put_number(v, "word_stride", static_cast<double>(w.word_stride));
-  put_number(v, "sentence_length", static_cast<double>(w.sentence_length));
-  put_number(v, "sentence_stride", static_cast<double>(w.sentence_stride));
-  return v;
-}
-
-JsonValue model_to_json(const nmt::Seq2SeqConfig& m) {
-  JsonValue v = make_object();
-  put_number(v, "embedding_dim", static_cast<double>(m.embedding_dim));
-  put_number(v, "hidden_dim", static_cast<double>(m.hidden_dim));
-  put_number(v, "num_layers", static_cast<double>(m.num_layers));
-  put_number(v, "dropout", static_cast<double>(m.dropout));
-  put_number(v, "init_scale", static_cast<double>(m.init_scale));
-  put_number(v, "max_decode_length", static_cast<double>(m.max_decode_length));
-  put_string(v, "attention",
-             m.attention == nn::AttentionScore::kDot ? "dot" : "general");
-  return v;
-}
-
-JsonValue trainer_to_json(const nmt::TrainerConfig& t) {
-  JsonValue v = make_object();
-  put_number(v, "steps", static_cast<double>(t.steps));
-  put_number(v, "batch_size", static_cast<double>(t.batch_size));
-  put_number(v, "lr", static_cast<double>(t.lr));
-  put_number(v, "clip_norm", static_cast<double>(t.clip_norm));
-  put_number(v, "lr_decay_start", static_cast<double>(t.lr_decay_start));
-  put_number(v, "lr_decay_every", static_cast<double>(t.lr_decay_every));
-  put_number(v, "eval_every", static_cast<double>(t.eval_every));
-  put_number(v, "patience", static_cast<double>(t.patience));
-  put_number(v, "divergence_factor", t.divergence_factor);
-  return v;
-}
-
-JsonValue retry_to_json(const robust::RetryPolicy& r) {
-  JsonValue v = make_object();
-  put_number(v, "max_retries", static_cast<double>(r.max_retries));
-  put_number(v, "base_delay_ms", r.base_delay_ms);
-  put_number(v, "multiplier", r.multiplier);
-  put_number(v, "max_delay_ms", r.max_delay_ms);
-  put_number(v, "jitter", r.jitter);
-  return v;
-}
-
-JsonValue miner_to_json(const core::MinerConfig& m) {
-  JsonValue v = make_object();
-  put_number(v, "threads", static_cast<double>(m.threads));
-  put_number(v, "seed", static_cast<double>(m.seed));
-  put_number(v, "pair_timeout_s", m.pair_timeout_s);
-  put_string(v, "checkpoint_path", m.checkpoint_path);
-  put_bool(v, "resume", m.resume);
-  put_object(v, "retry", retry_to_json(m.retry));
-  put_object(v, "model", model_to_json(m.translation.model));
-  put_object(v, "trainer", trainer_to_json(m.translation.trainer));
-  put_object(v, "bleu", bleu_to_json(m.translation.bleu));
-  return v;
-}
-
-JsonValue detector_to_json(const core::DetectorConfig& d) {
-  JsonValue v = make_object();
-  put_number(v, "valid_lo", d.valid_lo);
-  put_number(v, "valid_hi", d.valid_hi);
-  put_number(v, "tolerance", d.tolerance);
-  put_number(v, "min_coverage", d.min_coverage);
-  put_number(v, "threads", static_cast<double>(d.threads));
-  put_object(v, "bleu", bleu_to_json(d.bleu));
-  return v;
-}
-
-JsonValue health_to_json(const robust::HealthConfig& h) {
-  JsonValue v = make_object();
-  put_number(v, "drop_after_missing", static_cast<double>(h.drop_after_missing));
-  put_number(v, "stale_after", static_cast<double>(h.stale_after));
-  put_number(v, "max_unk_rate", h.max_unk_rate);
-  put_number(v, "unk_window", static_cast<double>(h.unk_window));
-  put_number(v, "min_unk_samples", static_cast<double>(h.min_unk_samples));
-  put_number(v, "readmit_after", static_cast<double>(h.readmit_after));
-  return v;
-}
-
-JsonValue serve_to_json(const serve::ServeConfig& s) {
-  JsonValue v = make_object();
-  put_number(v, "workers", static_cast<double>(s.workers));
-  put_number(v, "max_batch", static_cast<double>(s.max_batch));
-  put_number(v, "decode_cache", static_cast<double>(s.decode_cache));
-  put_number(v, "max_pending_windows",
-             static_cast<double>(s.limits.max_pending_windows));
-  put_bool(v, "reject_when_full", s.limits.reject_when_full);
-  put_number(v, "max_consecutive_shed",
-             static_cast<double>(s.limits.max_consecutive_shed));
-  put_number(v, "max_global_pending",
-             static_cast<double>(s.max_global_pending));
-  put_number(v, "max_queue_delay_ms", s.max_queue_delay_ms);
-  put_number(v, "circuit_open_after",
-             static_cast<double>(s.circuit_open_after));
-  put_number(v, "circuit_probe_after",
-             static_cast<double>(s.circuit_probe_after));
-  put_number(v, "telemetry_port", static_cast<double>(s.telemetry_port));
-  put_number(v, "resident_bytes", static_cast<double>(s.resident_bytes));
-  put_number(v, "resident_edges", static_cast<double>(s.resident_edges));
-  put_number(v, "slow_window_ms", s.slow_window_ms);
-  put_number(v, "sliding_window_s", s.sliding_window_s);
-  put_number(v, "sliding_epochs", static_cast<double>(s.sliding_epochs));
-  return v;
-}
-
-JsonValue drift_to_json(const lifecycle::DriftConfig& d) {
-  JsonValue v = make_object();
-  put_number(v, "ewma_alpha", d.ewma_alpha);
-  put_number(v, "min_observations", static_cast<double>(d.min_observations));
-  put_number(v, "hysteresis", static_cast<double>(d.hysteresis));
-  put_number(v, "drifting_drop", d.drifting_drop);
-  put_number(v, "drifted_drop", d.drifted_drop);
-  put_number(v, "break_rate", d.break_rate);
-  put_number(v, "max_unk_rate", d.max_unk_rate);
-  return v;
-}
-
-JsonValue retrain_to_json(const lifecycle::RetrainConfig& r) {
-  JsonValue v = make_object();
-  put_number(v, "lr_factor", r.lr_factor);
-  put_number(v, "steps", static_cast<double>(r.steps));
-  put_string(v, "journal_path", r.journal_path);
-  put_string(v, "warm_start_journal", r.warm_start_journal);
-  return v;
-}
-
-JsonValue shadow_to_json(const serve::ShadowConfig& s) {
-  JsonValue v = make_object();
-  put_number(v, "sample_rate", s.sample_rate);
-  put_number(v, "min_windows", static_cast<double>(s.min_windows));
-  put_number(v, "alert_threshold", s.alert_threshold);
-  put_number(v, "max_alert_rate", s.max_alert_rate);
-  put_number(v, "min_agreement", s.min_agreement);
-  put_number(v, "max_failures", static_cast<double>(s.max_failures));
-  return v;
-}
-
-JsonValue tensor_to_json(const std::string& kernels) {
-  JsonValue v = make_object();
-  put_string(v, "kernels", kernels);
-  return v;
-}
-
-JsonValue lifecycle_to_json(const lifecycle::LifecycleConfig& l) {
-  JsonValue v = make_object();
-  put_object(v, "drift", drift_to_json(l.drift));
-  put_object(v, "retrain", retrain_to_json(l.retrain));
-  put_object(v, "shadow", shadow_to_json(l.shadow));
-  return v;
-}
-
-// ---------------------------------------------------------------------------
-// Parsing. Every reader names the full dotted path of the key it rejects.
-
-double number_at(const JsonValue& v, const std::string& path) {
-  if (!v.is_number()) bad("key '" + path + "' must be a number");
-  return v.number;
-}
-
-double positive_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (!(d > 0.0)) bad("key '" + path + "' must be > 0");
-  return d;
-}
-
-double nonneg_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (!(d >= 0.0)) bad("key '" + path + "' must be >= 0");
-  return d;
-}
-
-double fraction_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (!(d >= 0.0 && d <= 1.0)) bad("key '" + path + "' must lie in [0, 1]");
-  return d;
-}
-
-std::size_t uint_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (d < 0.0 || d != std::floor(d) || d > 9007199254740992.0) {
-    bad("key '" + path + "' must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::size_t positive_uint_at(const JsonValue& v, const std::string& path) {
-  const std::size_t n = uint_at(v, path);
-  if (n == 0) bad("key '" + path + "' must be > 0");
-  return n;
-}
-
-bool bool_at(const JsonValue& v, const std::string& path) {
-  if (!v.is_bool()) bad("key '" + path + "' must be a boolean");
-  return v.boolean;
-}
-
-std::string string_at(const JsonValue& v, const std::string& path) {
-  if (!v.is_string()) bad("key '" + path + "' must be a string");
-  return v.string;
-}
-
-void expect_object(const JsonValue& v, const std::string& path) {
-  if (!v.is_object()) bad("key '" + path + "' must be an object");
-}
-
-void parse_bleu(const JsonValue& v, const std::string& prefix,
-                text::BleuOptions* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "max_order") {
-      out->max_order = positive_uint_at(value, path);
-    } else if (key == "smooth") {
-      out->smooth = bool_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_window(const JsonValue& v, const std::string& prefix,
-                  core::WindowConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "word_length") {
-      out->word_length = positive_uint_at(value, path);
-    } else if (key == "word_stride") {
-      out->word_stride = positive_uint_at(value, path);
-    } else if (key == "sentence_length") {
-      out->sentence_length = positive_uint_at(value, path);
-    } else if (key == "sentence_stride") {
-      out->sentence_stride = positive_uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_model(const JsonValue& v, const std::string& prefix,
-                 nmt::Seq2SeqConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "embedding_dim") {
-      out->embedding_dim = positive_uint_at(value, path);
-    } else if (key == "hidden_dim") {
-      out->hidden_dim = positive_uint_at(value, path);
-    } else if (key == "num_layers") {
-      out->num_layers = positive_uint_at(value, path);
-    } else if (key == "dropout") {
-      const double d = fraction_at(value, path);
-      if (d >= 1.0) bad("key '" + path + "' must lie in [0, 1)");
-      out->dropout = static_cast<float>(d);
-    } else if (key == "init_scale") {
-      out->init_scale = static_cast<float>(positive_at(value, path));
-    } else if (key == "max_decode_length") {
-      out->max_decode_length = positive_uint_at(value, path);
-    } else if (key == "attention") {
-      const std::string name = string_at(value, path);
-      if (name == "general") {
-        out->attention = nn::AttentionScore::kGeneral;
-      } else if (name == "dot") {
-        out->attention = nn::AttentionScore::kDot;
-      } else {
-        bad("key '" + path + "' must be \"general\" or \"dot\"");
-      }
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_trainer(const JsonValue& v, const std::string& prefix,
-                   nmt::TrainerConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "steps") {
-      out->steps = positive_uint_at(value, path);
-    } else if (key == "batch_size") {
-      out->batch_size = positive_uint_at(value, path);
-    } else if (key == "lr") {
-      out->lr = static_cast<float>(positive_at(value, path));
-    } else if (key == "clip_norm") {
-      out->clip_norm = static_cast<float>(nonneg_at(value, path));
-    } else if (key == "lr_decay_start") {
-      out->lr_decay_start = uint_at(value, path);
-    } else if (key == "lr_decay_every") {
-      out->lr_decay_every = uint_at(value, path);
-    } else if (key == "eval_every") {
-      out->eval_every = uint_at(value, path);
-    } else if (key == "patience") {
-      out->patience = positive_uint_at(value, path);
-    } else if (key == "divergence_factor") {
-      out->divergence_factor = nonneg_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_retry(const JsonValue& v, const std::string& prefix,
-                 robust::RetryPolicy* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "max_retries") {
-      out->max_retries = uint_at(value, path);
-    } else if (key == "base_delay_ms") {
-      out->base_delay_ms = nonneg_at(value, path);
-    } else if (key == "multiplier") {
-      const double d = number_at(value, path);
-      if (!(d >= 1.0)) bad("key '" + path + "' must be >= 1");
-      out->multiplier = d;
-    } else if (key == "max_delay_ms") {
-      out->max_delay_ms = nonneg_at(value, path);
-    } else if (key == "jitter") {
-      out->jitter = fraction_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_miner(const JsonValue& v, const std::string& prefix,
-                 core::MinerConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "threads") {
-      out->threads = uint_at(value, path);
-    } else if (key == "seed") {
-      out->seed = static_cast<std::uint64_t>(uint_at(value, path));
-    } else if (key == "pair_timeout_s") {
-      out->pair_timeout_s = nonneg_at(value, path);
-    } else if (key == "checkpoint_path") {
-      out->checkpoint_path = string_at(value, path);
-    } else if (key == "resume") {
-      out->resume = bool_at(value, path);
-    } else if (key == "retry") {
-      parse_retry(value, path, &out->retry);
-    } else if (key == "model") {
-      parse_model(value, path, &out->translation.model);
-    } else if (key == "trainer") {
-      parse_trainer(value, path, &out->translation.trainer);
-    } else if (key == "bleu") {
-      parse_bleu(value, path, &out->translation.bleu);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_detector(const JsonValue& v, const std::string& prefix,
-                    core::DetectorConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "valid_lo") {
-      out->valid_lo = number_at(value, path);
-    } else if (key == "valid_hi") {
-      out->valid_hi = number_at(value, path);
-    } else if (key == "tolerance") {
-      out->tolerance = nonneg_at(value, path);
-    } else if (key == "min_coverage") {
-      out->min_coverage = fraction_at(value, path);
-    } else if (key == "threads") {
-      out->threads = uint_at(value, path);
-    } else if (key == "bleu") {
-      parse_bleu(value, path, &out->bleu);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-  if (out->valid_lo > out->valid_hi) {
-    bad("key '" + prefix + ".valid_lo' must be <= '" + prefix + ".valid_hi'");
-  }
-}
-
-void parse_health(const JsonValue& v, const std::string& prefix,
-                  robust::HealthConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "drop_after_missing") {
-      out->drop_after_missing = positive_uint_at(value, path);
-    } else if (key == "stale_after") {
-      out->stale_after = uint_at(value, path);
-    } else if (key == "max_unk_rate") {
-      out->max_unk_rate = fraction_at(value, path);
-    } else if (key == "unk_window") {
-      out->unk_window = positive_uint_at(value, path);
-    } else if (key == "min_unk_samples") {
-      out->min_unk_samples = positive_uint_at(value, path);
-    } else if (key == "readmit_after") {
-      out->readmit_after = positive_uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_serve(const JsonValue& v, const std::string& prefix,
-                 serve::ServeConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "workers") {
-      out->workers = uint_at(value, path);
-    } else if (key == "max_batch") {
-      out->max_batch = positive_uint_at(value, path);
-    } else if (key == "decode_cache") {
-      out->decode_cache = uint_at(value, path);
-    } else if (key == "max_pending_windows") {
-      out->limits.max_pending_windows = positive_uint_at(value, path);
-    } else if (key == "reject_when_full") {
-      out->limits.reject_when_full = bool_at(value, path);
-    } else if (key == "max_consecutive_shed") {
-      out->limits.max_consecutive_shed = positive_uint_at(value, path);
-    } else if (key == "max_global_pending") {
-      out->max_global_pending = uint_at(value, path);
-    } else if (key == "max_queue_delay_ms") {
-      out->max_queue_delay_ms = nonneg_at(value, path);
-    } else if (key == "circuit_open_after") {
-      out->circuit_open_after = uint_at(value, path);
-    } else if (key == "circuit_probe_after") {
-      out->circuit_probe_after = positive_uint_at(value, path);
-    } else if (key == "telemetry_port") {
-      out->telemetry_port = uint_at(value, path);
-      if (out->telemetry_port > 65535) bad("key '" + path + "' must be <= 65535");
-    } else if (key == "resident_bytes") {
-      out->resident_bytes = uint_at(value, path);
-    } else if (key == "resident_edges") {
-      out->resident_edges = uint_at(value, path);
-    } else if (key == "slow_window_ms") {
-      out->slow_window_ms = nonneg_at(value, path);
-    } else if (key == "sliding_window_s") {
-      out->sliding_window_s = positive_at(value, path);
-    } else if (key == "sliding_epochs") {
-      out->sliding_epochs = positive_uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_drift(const JsonValue& v, const std::string& prefix,
-                 lifecycle::DriftConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "ewma_alpha") {
-      const double d = fraction_at(value, path);
-      if (!(d > 0.0)) bad("key '" + path + "' must lie in (0, 1]");
-      out->ewma_alpha = d;
-    } else if (key == "min_observations") {
-      out->min_observations = positive_uint_at(value, path);
-    } else if (key == "hysteresis") {
-      out->hysteresis = positive_uint_at(value, path);
-    } else if (key == "drifting_drop") {
-      out->drifting_drop = nonneg_at(value, path);
-    } else if (key == "drifted_drop") {
-      out->drifted_drop = nonneg_at(value, path);
-    } else if (key == "break_rate") {
-      out->break_rate = fraction_at(value, path);
-    } else if (key == "max_unk_rate") {
-      out->max_unk_rate = fraction_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-  if (out->drifting_drop > out->drifted_drop) {
-    bad("key '" + prefix + ".drifting_drop' must be <= '" + prefix +
-        ".drifted_drop'");
-  }
-}
-
-void parse_retrain(const JsonValue& v, const std::string& prefix,
-                   lifecycle::RetrainConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "lr_factor") {
-      out->lr_factor = positive_at(value, path);
-    } else if (key == "steps") {
-      out->steps = uint_at(value, path);
-    } else if (key == "journal_path") {
-      out->journal_path = string_at(value, path);
-    } else if (key == "warm_start_journal") {
-      out->warm_start_journal = string_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_shadow(const JsonValue& v, const std::string& prefix,
-                  serve::ShadowConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "sample_rate") {
-      out->sample_rate = positive_at(value, path);
-    } else if (key == "min_windows") {
-      out->min_windows = positive_uint_at(value, path);
-    } else if (key == "alert_threshold") {
-      out->alert_threshold = fraction_at(value, path);
-    } else if (key == "max_alert_rate") {
-      out->max_alert_rate = fraction_at(value, path);
-    } else if (key == "min_agreement") {
-      out->min_agreement = fraction_at(value, path);
-    } else if (key == "max_failures") {
-      out->max_failures = uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_tensor(const JsonValue& v, const std::string& prefix,
-                  std::string* kernels) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "kernels") {
-      const std::string name = string_at(value, path);
-      tensor::kernels::Backend backend;
-      if (name != "auto" && !tensor::kernels::parse_backend(name, &backend)) {
-        bad("key '" + path + "' must be \"auto\", \"scalar\", or \"avx2\"");
-      }
-      *kernels = name;
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_lifecycle(const JsonValue& v, const std::string& prefix,
-                     lifecycle::LifecycleConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "drift") {
-      parse_drift(value, path, &out->drift);
-    } else if (key == "retrain") {
-      parse_retrain(value, path, &out->retrain);
-    } else if (key == "shadow") {
-      parse_shadow(value, path, &out->shadow);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
+    out += indent + '}';
   }
 }
 
 }  // namespace
 
 std::string run_config_to_json(const RunConfig& config) {
-  JsonValue doc = make_object();
-  put_object(doc, "window", window_to_json(config.framework.window));
-  put_object(doc, "miner", miner_to_json(config.framework.miner));
-  put_object(doc, "detector", detector_to_json(config.framework.detector));
-  put_object(doc, "health", health_to_json(config.health));
-  put_object(doc, "tensor", tensor_to_json(config.kernels));
-  put_object(doc, "serve", serve_to_json(config.serve));
-  put_object(doc, "lifecycle", lifecycle_to_json(config.lifecycle));
+  JsonValue doc;
+  doc.type = JsonValue::Type::kObject;
+  for_each_knob(config, [&](const Knob& knob, const auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    // Descend to the knob's section, opening it at its first knob.
+    JsonValue* obj = &doc;
+    std::string_view key = knob.key;
+    for (auto dot = key.find('.'); dot != key.npos; dot = key.find('.')) {
+      const std::string_view section = key.substr(0, dot);
+      if (obj->object.empty() || obj->object.back().first != section) {
+        obj->object.emplace_back(std::string(section), JsonValue{});
+        obj->object.back().second.type = JsonValue::Type::kObject;
+      }
+      obj = &obj->object.back().second;
+      key.remove_prefix(dot + 1);
+    }
+    JsonValue v;
+    v.type = JsonValue::Type::kString;
+    if constexpr (std::is_same_v<T, bool>) {
+      v.type = JsonValue::Type::kBool;
+      v.boolean = field;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v.string = field;
+    } else if constexpr (std::is_enum_v<T>) {
+      v.string = knob.names[static_cast<std::size_t>(field)];
+    } else {  // integers exactly, floats and doubles shortest round-trip
+      char buf[32];
+      v.type = JsonValue::Type::kNumber;
+      v.string.assign(buf, std::to_chars(buf, buf + sizeof(buf), field).ptr);
+    }
+    obj->object.emplace_back(std::string(key), std::move(v));
+  });
   std::string out;
   dump(doc, out, 0);
   out += '\n';
@@ -688,47 +377,61 @@ std::string run_config_to_json(const RunConfig& config) {
 }
 
 RunConfig run_config_from_json(std::string_view text) {
-  const JsonValue doc = obs::parse_json(text);
-  if (!doc.is_object()) bad("document must be a JSON object");
   RunConfig config;
-  for (const auto& [key, value] : doc.object) {
-    if (key == "window") {
-      parse_window(value, key, &config.framework.window);
-    } else if (key == "miner") {
-      parse_miner(value, key, &config.framework.miner);
-    } else if (key == "detector") {
-      parse_detector(value, key, &config.framework.detector);
-    } else if (key == "health") {
-      parse_health(value, key, &config.health);
-    } else if (key == "tensor") {
-      parse_tensor(value, key, &config.kernels);
-    } else if (key == "serve") {
-      parse_serve(value, key, &config.serve);
-    } else if (key == "lifecycle") {
-      parse_lifecycle(value, key, &config.lifecycle);
-    } else {
-      bad("unknown key '" + key + "'");
-    }
-  }
-  config.serve.detector = config.framework.detector;
-  config.serve.shadow = config.lifecycle.shadow;
+  parse_into(text, config);
+  finish(config);
   return config;
 }
 
-RunConfig load_run_config(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw PreconditionError("config: cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return run_config_from_json(buffer.str());
-  } catch (const PreconditionError& e) {
-    throw PreconditionError(std::string(e.what()) + " (in '" + path +
-                                  "')");
-  } catch (const RuntimeError& e) {
-    throw PreconditionError(std::string(e.what()) + " (in '" + path +
-                                  "')");
+RunConfig load_run_config(const std::string& path, const FlagValues& flags) {
+  RunConfig config;
+  if (!path.empty()) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw PreconditionError("config: cannot read '" + path + "'");
+    std::string text(kMaxConfigBytes + 1, '\0');
+    in.read(text.data(), static_cast<std::streamsize>(text.size()));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+    if (text.size() > kMaxConfigBytes) {
+      throw PreconditionError("config: '" + path + "' is larger than " +
+                              std::to_string(kMaxConfigBytes) + " bytes");
+    }
+    // A bad value or malformed JSON is a usage error naming the file.
+    const auto in_file = [&](const std::exception& e) {
+      return PreconditionError(std::string(e.what()) + " (in '" + path + "')");
+    };
+    try {
+      parse_into(text, config);
+    } catch (const PreconditionError& e) {
+      throw in_file(e);
+    } catch (const RuntimeError& e) {
+      throw in_file(e);
+    }
   }
+  for_each_knob(config, [&](const Knob& knob, auto& field) {
+    const auto it = knob.flag ? flags.find(knob.flag) : flags.end();
+    if (it == flags.end()) return;
+    read_value(knob, flag_value(knob, it->second),
+               "flag --" + it->first + "=" + it->second + " (key '" +
+                   knob.key + "')",
+               field);
+  });
+  finish(config);
+  return config;
+}
+
+std::vector<KnobFlag> knob_flags(
+    std::initializer_list<std::string_view> sections) {
+  std::vector<KnobFlag> out;
+  const RunConfig defaults;
+  for_each_knob(defaults, [&](const Knob& knob, const auto&) {
+    const std::string_view key = knob.key;
+    for (const std::string_view section : sections) {
+      if (knob.flag && key.substr(0, key.find('.')) == section) {
+        out.push_back({knob.flag, knob.kind == Kind::kBool});
+      }
+    }
+  });
+  return out;
 }
 
 }  // namespace desmine::io

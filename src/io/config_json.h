@@ -1,23 +1,22 @@
-// JSON round-trip for the run configuration (ISSUE 5 satellite).
+// The run configuration: JSON config files, --dump-config and tool flags.
 //
 // RunConfig bundles everything a tool run is parameterised by: the
 // FrameworkConfig (window / miner / detector), the degraded-mode
-// HealthConfig, the serving-layer ServeConfig, and the continual-mining
-// LifecycleConfig (DESIGN.md §14). run_config_to_json
-// emits a pretty-printed document with every knob at its current value —
-// `desmine_cli --dump-config` uses it to print a complete, editable
-// starting point. run_config_from_json parses and validates strictly:
-// unknown keys and out-of-range values throw PreconditionError
-// naming the offending dotted key (e.g. "miner.trainer.stepz"), so a typo
-// never silently falls back to a default. Keys that are simply absent keep
-// their defaults, which makes partial override files work.
+// HealthConfig, the serving-layer ServeConfig, the continual-mining
+// LifecycleConfig (DESIGN.md §14) and the kernel backend. Each of its 79
+// knobs is declared once, in the knob table in config_json.cpp: dotted key,
+// field, kind and range, and the tool flag that overrides it, if any.
+// Emission, parsing and flag overrides (io/config_flags.h) all walk that
+// table, so a flag value is checked exactly like the key it sets. Unknown keys and out-of-range
+// values throw PreconditionError naming the dotted key (and the flag, for a
+// flag value); absent keys keep their defaults, so partial files work.
+// Emission prints integers exactly and floats/doubles in shortest
+// round-trip form: re-reading any dump reproduces it byte for byte.
 //
 // Deliberately NOT covered: callback hooks (MinerConfig::on_pair,
-// should_abort), ServeConfig::detector (the detector section is the
-// single source of truth; callers mirror it into ServeConfig themselves,
-// as run_config_from_json already does), ServeConfig::shadow (mirrored
-// from lifecycle.shadow the same way), and RetrainConfig::seed (a test
-// determinism knob, not an operator-facing one).
+// should_abort), ServeConfig::detector and ServeConfig::shadow (mirrored
+// from the detector section and lifecycle.shadow after every parse), and
+// RetrainConfig::seed (a test determinism knob, not an operator-facing one).
 #pragma once
 
 #include <string>
@@ -53,9 +52,5 @@ std::string run_config_to_json(const RunConfig& config);
 /// keys, type mismatches, and out-of-range values; RuntimeError for
 /// malformed JSON.
 RunConfig run_config_from_json(std::string_view text);
-
-/// Read `path` and run_config_from_json its contents; errors mention the
-/// file path.
-RunConfig load_run_config(const std::string& path);
 
 }  // namespace desmine::io

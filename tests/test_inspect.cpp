@@ -107,6 +107,14 @@ TEST(InspectCli, MissingFileIsRuntimeError) {
             1);
 }
 
+TEST(InspectCli, EdgeCapMustBeAWholeNumber) {
+  const TempFile file("edges.bin");
+  di::save_framework(fitted_framework(), file.path);
+  EXPECT_EQ(run_inspect("--model " + file.path + " --edges -1").first, 2);
+  EXPECT_EQ(run_inspect("--model " + file.path + " --edges 2.5").first, 2);
+  EXPECT_EQ(run_inspect("--model " + file.path + " --edges 0").first, 0);
+}
+
 TEST(InspectCli, MappedArtifactTextDump) {
   const TempFile file("v4.bin");
   di::save_framework(fitted_framework(), file.path);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -333,127 +334,174 @@ TEST(SessionManager, UnknownSessionThrows) {
 // ---------------------------------------------------------------------------
 // Config JSON
 
+// Every RunConfig knob, each with a valid non-default value.
+#define DESMINE_EVERY_KNOB(X)                                    \
+  X(framework.window.word_length, 6u)                            \
+  X(framework.window.word_stride, 2u)                            \
+  X(framework.window.sentence_length, 11u)                       \
+  X(framework.window.sentence_stride, 5u)                        \
+  X(framework.miner.threads, 3u)                                 \
+  X(framework.miner.seed, 1234567890123u)                        \
+  X(framework.miner.pair_timeout_s, 2.5)                         \
+  X(framework.miner.checkpoint_path, "ckpt.jsonl")               \
+  X(framework.miner.resume, true)                                \
+  X(framework.miner.retry.max_retries, 5u)                       \
+  X(framework.miner.retry.base_delay_ms, 12.5)                   \
+  X(framework.miner.retry.multiplier, 1.5)                       \
+  X(framework.miner.retry.max_delay_ms, 900.0)                   \
+  X(framework.miner.retry.jitter, 0.125)                         \
+  X(framework.miner.translation.model.embedding_dim, 24u)        \
+  X(framework.miner.translation.model.hidden_dim, 48u)           \
+  X(framework.miner.translation.model.num_layers, 3u)            \
+  X(framework.miner.translation.model.dropout, 0.3f)             \
+  X(framework.miner.translation.model.init_scale, 0.05f)         \
+  X(framework.miner.translation.model.max_decode_length, 13u)    \
+  X(framework.miner.translation.model.attention,                 \
+    desmine::nn::AttentionScore::kDot)                           \
+  X(framework.miner.translation.trainer.steps, 333u)             \
+  X(framework.miner.translation.trainer.batch_size, 8u)          \
+  X(framework.miner.translation.trainer.lr, 0.003f)              \
+  X(framework.miner.translation.trainer.clip_norm, 2.5f)         \
+  X(framework.miner.translation.trainer.lr_decay_start, 100u)    \
+  X(framework.miner.translation.trainer.lr_decay_every, 50u)     \
+  X(framework.miner.translation.trainer.eval_every, 25u)         \
+  X(framework.miner.translation.trainer.patience, 4u)            \
+  X(framework.miner.translation.trainer.divergence_factor, 500.0) \
+  X(framework.miner.translation.bleu.max_order, 3u)              \
+  X(framework.miner.translation.bleu.smooth, false)              \
+  X(framework.detector.valid_lo, 70.0)                           \
+  X(framework.detector.valid_hi, 95.0)                           \
+  X(framework.detector.tolerance, 1.25)                          \
+  X(framework.detector.min_coverage, 0.75)                       \
+  X(framework.detector.threads, 2u)                              \
+  X(framework.detector.bleu.max_order, 2u)                       \
+  X(framework.detector.bleu.smooth, false)                       \
+  X(health.drop_after_missing, 7u)                               \
+  X(health.stale_after, 30u)                                     \
+  X(health.max_unk_rate, 0.375)                                  \
+  X(health.unk_window, 32u)                                      \
+  X(health.min_unk_samples, 4u)                                  \
+  X(health.readmit_after, 5u)                                    \
+  X(kernels, "scalar")                                           \
+  X(serve.workers, 4u)                                           \
+  X(serve.max_batch, 16u)                                        \
+  X(serve.decode_cache, 128u)                                    \
+  X(serve.limits.max_pending_windows, 9u)                        \
+  X(serve.limits.reject_when_full, true)                         \
+  X(serve.limits.max_consecutive_shed, 3u)                       \
+  X(serve.max_global_pending, 100u)                              \
+  X(serve.max_queue_delay_ms, 250.0)                             \
+  X(serve.circuit_open_after, 2u)                                \
+  X(serve.circuit_probe_after, 4u)                               \
+  X(serve.telemetry_port, 9100u)                                 \
+  X(serve.resident_bytes, std::uint64_t{1} << 40)                \
+  X(serve.resident_edges, 12u)                                   \
+  X(serve.slow_window_ms, 75.0)                                  \
+  X(serve.sliding_window_s, 30.0)                                \
+  X(serve.sliding_epochs, 3u)                                    \
+  X(lifecycle.drift.ewma_alpha, 0.3)                             \
+  X(lifecycle.drift.min_observations, 5u)                        \
+  X(lifecycle.drift.hysteresis, 4u)                              \
+  X(lifecycle.drift.drifting_drop, 7.5)                          \
+  X(lifecycle.drift.drifted_drop, 20.0)                          \
+  X(lifecycle.drift.break_rate, 0.6)                             \
+  X(lifecycle.drift.max_unk_rate, 0.125)                         \
+  X(lifecycle.retrain.lr_factor, 0.25)                           \
+  X(lifecycle.retrain.steps, 123u)                               \
+  X(lifecycle.retrain.journal_path, "retrain.journal")           \
+  X(lifecycle.retrain.warm_start_journal, "mine.journal")        \
+  X(lifecycle.shadow.sample_rate, 0.5)                           \
+  X(lifecycle.shadow.min_windows, 17u)                           \
+  X(lifecycle.shadow.alert_threshold, 0.45)                      \
+  X(lifecycle.shadow.max_alert_rate, 0.1)                        \
+  X(lifecycle.shadow.min_agreement, 0.8)                         \
+  X(lifecycle.shadow.max_failures, 2u)
+
 TEST(ConfigJson, RoundTripsEveryKnob) {
   dio::RunConfig c;
-  c.framework.window = {6, 2, 10, 5};
-  c.framework.miner.seed = 1234;
-  c.framework.miner.threads = 3;
-  c.framework.miner.pair_timeout_s = 2.5;
-  c.framework.miner.checkpoint_path = "ckpt.jsonl";
-  c.framework.miner.resume = true;
-  c.framework.miner.retry.max_retries = 5;
-  c.framework.miner.retry.jitter = 0.125;
-  c.framework.miner.translation.model.hidden_dim = 48;
-  c.framework.miner.translation.model.dropout = 0.25f;
-  c.framework.miner.translation.model.attention =
-      desmine::nn::AttentionScore::kDot;
-  c.framework.miner.translation.trainer.steps = 333;
-  c.framework.miner.translation.trainer.lr = 0.005f;
-  c.framework.miner.translation.bleu.max_order = 3;
-  c.framework.detector.valid_lo = 70.0;
-  c.framework.detector.valid_hi = 95.0;
-  c.framework.detector.tolerance = 1.25;
-  c.framework.detector.min_coverage = 0.75;
-  c.framework.detector.bleu.smooth = false;
-  c.health.drop_after_missing = 7;
-  c.health.max_unk_rate = 0.375;
-  c.serve.workers = 4;
-  c.serve.max_batch = 16;
-  c.serve.decode_cache = 128;
-  c.serve.limits.max_pending_windows = 9;
-  c.serve.limits.reject_when_full = true;
-  c.kernels = "scalar";
+#define DESMINE_SET(field, ...) c.field = __VA_ARGS__;
+  DESMINE_EVERY_KNOB(DESMINE_SET)
+#undef DESMINE_SET
 
   const std::string json = dio::run_config_to_json(c);
   const dio::RunConfig back = dio::run_config_from_json(json);
-
-  EXPECT_EQ(back.framework.window.word_length, 6u);
-  EXPECT_EQ(back.framework.window.word_stride, 2u);
-  EXPECT_EQ(back.framework.window.sentence_length, 10u);
-  EXPECT_EQ(back.framework.window.sentence_stride, 5u);
-  EXPECT_EQ(back.framework.miner.seed, 1234u);
-  EXPECT_EQ(back.framework.miner.threads, 3u);
-  EXPECT_EQ(back.framework.miner.pair_timeout_s, 2.5);
-  EXPECT_EQ(back.framework.miner.checkpoint_path, "ckpt.jsonl");
-  EXPECT_TRUE(back.framework.miner.resume);
-  EXPECT_EQ(back.framework.miner.retry.max_retries, 5u);
-  EXPECT_EQ(back.framework.miner.retry.jitter, 0.125);
-  EXPECT_EQ(back.framework.miner.translation.model.hidden_dim, 48u);
-  EXPECT_EQ(back.framework.miner.translation.model.dropout, 0.25f);
-  EXPECT_EQ(back.framework.miner.translation.model.attention,
-            desmine::nn::AttentionScore::kDot);
-  EXPECT_EQ(back.framework.miner.translation.trainer.steps, 333u);
-  EXPECT_EQ(back.framework.miner.translation.trainer.lr, 0.005f);
-  EXPECT_EQ(back.framework.miner.translation.bleu.max_order, 3u);
-  EXPECT_EQ(back.framework.detector.valid_lo, 70.0);
-  EXPECT_EQ(back.framework.detector.valid_hi, 95.0);
-  EXPECT_EQ(back.framework.detector.tolerance, 1.25);
-  EXPECT_EQ(back.framework.detector.min_coverage, 0.75);
-  EXPECT_FALSE(back.framework.detector.bleu.smooth);
-  EXPECT_EQ(back.health.drop_after_missing, 7u);
-  EXPECT_EQ(back.health.max_unk_rate, 0.375);
-  EXPECT_EQ(back.serve.workers, 4u);
-  EXPECT_EQ(back.serve.max_batch, 16u);
-  EXPECT_EQ(back.serve.decode_cache, 128u);
-  EXPECT_EQ(back.serve.limits.max_pending_windows, 9u);
-  EXPECT_TRUE(back.serve.limits.reject_when_full);
-  EXPECT_EQ(back.kernels, "scalar");
-  // ServeConfig mirrors the detector section.
+#define DESMINE_CHECK(field, ...) EXPECT_EQ(back.field, c.field) << #field;
+  DESMINE_EVERY_KNOB(DESMINE_CHECK)
+#undef DESMINE_CHECK
+  // Integers print exactly, floats in shortest round-trip form.
+  EXPECT_NE(json.find("\"seed\": 1234567890123,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"lr\": 0.003,"), std::string::npos) << json;
+  // ServeConfig mirrors the detector and lifecycle.shadow sections.
   EXPECT_EQ(back.serve.detector.tolerance, 1.25);
+  EXPECT_EQ(back.serve.shadow.min_agreement, 0.8);
 
   // Re-emission is a fixed point: same document, byte for byte.
   EXPECT_EQ(dio::run_config_to_json(back), json);
+
+  // Every knob line differs from the defaults' document: the list above
+  // leaves no knob of the table at its default.
+  const dio::RunConfig defaults_config;
+  std::istringstream got(json);
+  std::istringstream defaults(dio::run_config_to_json(defaults_config));
+  std::size_t knob_lines = 0;
+  for (std::string a, b; std::getline(got, a) && std::getline(defaults, b);) {
+    if (a.back() == '{' || a.find('}') != std::string::npos) continue;
+    EXPECT_NE(a, b);
+    ++knob_lines;
+  }
+  EXPECT_EQ(knob_lines, 79u);
+}
+#undef DESMINE_EVERY_KNOB
+
+namespace {
+
+/// run_config_from_json(doc) throws a PreconditionError naming `key`.
+void expect_refused(const std::string& doc, const std::string& key) {
+  try {
+    dio::run_config_from_json(doc);
+    ADD_FAILURE() << "accepted " << doc;
+  } catch (const desmine::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
 }
 
-TEST(ConfigJson, RejectsUnknownKeysNamingTheDottedPath) {
-  try {
-    dio::run_config_from_json(R"({"miner": {"trainer": {"stepz": 3}}})");
-    FAIL() << "expected PreconditionError";
-  } catch (const desmine::PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("miner.trainer.stepz"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(dio::run_config_from_json(R"({"servee": {}})"),
-               desmine::PreconditionError);
+}  // namespace
 
+TEST(ConfigJson, RejectsUnknownKeysNamingTheDottedPath) {
+  expect_refused(R"({"miner": {"trainer": {"stepz": 3}}})",
+                 "miner.trainer.stepz");
+  expect_refused(R"({"servee": {}})", "servee");
+  expect_refused(R"({"lifecycle": {"drift": {"ewma_alphaz": 0.1}}})",
+                 "lifecycle.drift.ewma_alphaz");
   // Removed settings are rejected like any typo: the int8 decode precision
   // key and the "blocked" kernel backend.
-  for (const auto& [doc, key] :
-       std::vector<std::pair<std::string, std::string>>{
-           {R"({"tensor": {"precision": "f32"}})", "tensor.precision"},
-           {R"({"tensor": {"kernels": "blocked"}})", "tensor.kernels"}}) {
-    try {
-      dio::run_config_from_json(doc);
-      FAIL() << "expected PreconditionError for " << doc;
-    } catch (const desmine::PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
-          << e.what();
-    }
-  }
+  expect_refused(R"({"tensor": {"precision": "f32"}})", "tensor.precision");
+  expect_refused(R"({"tensor": {"kernels": "blocked"}})", "tensor.kernels");
 }
 
 TEST(ConfigJson, ValidatesRangesNamingTheBadKey) {
-  try {
-    dio::run_config_from_json(R"({"detector": {"min_coverage": 2.0}})");
-    FAIL() << "expected PreconditionError";
-  } catch (const desmine::PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("detector.min_coverage"),
-              std::string::npos);
-  }
-  // valid_lo > valid_hi is a cross-field violation.
-  EXPECT_THROW(dio::run_config_from_json(
-                   R"({"detector": {"valid_lo": 95, "valid_hi": 90}})"),
-               desmine::PreconditionError);
-  EXPECT_THROW(
-      dio::run_config_from_json(R"({"window": {"word_length": 0}})"),
-      desmine::PreconditionError);
-  EXPECT_THROW(
-      dio::run_config_from_json(
-          R"({"miner": {"model": {"attention": "additive"}}})"),
-      desmine::PreconditionError);
-  EXPECT_THROW(dio::run_config_from_json(R"({"serve": {"max_batch": 1.5}})"),
-               desmine::PreconditionError);
+  expect_refused(R"({"detector": {"min_coverage": 2.0}})",
+                 "detector.min_coverage");
+  expect_refused(R"({"window": {"word_length": 0}})", "window.word_length");
+  expect_refused(R"({"window": 6})", "window");
+  expect_refused(R"({"miner": {"model": {"attention": "additive"}}})",
+                 "miner.model.attention");
+  expect_refused(R"({"serve": {"max_batch": 1.5}})", "serve.max_batch");
+  expect_refused(R"({"serve": {"telemetry_port": 65536}})",
+                 "serve.telemetry_port");
+  expect_refused(R"({"lifecycle": {"shadow": {"sample_rate": 0.0}}})",
+                 "lifecycle.shadow.sample_rate");
+  // Checks across keys, and bounds no kind expresses.
+  expect_refused(R"({"detector": {"valid_lo": 95, "valid_hi": 90}})",
+                 "detector.valid_lo");
+  expect_refused(R"({"lifecycle": {"drift": {"drifting_drop": 40.0}}})",
+                 "lifecycle.drift.drifted_drop");  // default drifted_drop 15
+  expect_refused(R"({"lifecycle": {"drift": {"ewma_alpha": 0.0}}})",
+                 "lifecycle.drift.ewma_alpha");
+  expect_refused(R"({"miner": {"model": {"dropout": 1}}})",
+                 "miner.model.dropout");
+  expect_refused(R"({"miner": {"retry": {"multiplier": 0.5}}})",
+                 "miner.retry.multiplier");
 }
 
 TEST(ConfigJson, MalformedJsonNamesTheOffset) {

@@ -4,17 +4,21 @@
 // ("--flag", or "--flag=false" to spell out the default). Each tool declares
 // the options it knows, so a typo or a removed option is a usage error
 // (PreconditionError, exit 2 in every tool) instead of being silently
-// ignored. number() rejects values that are not a whole finite number.
+// ignored. number() rejects values that are not a whole finite number, and
+// integer() also fractional or out-of-range ones. Knob flags come from the
+// knob table (with_knob_flags) and are read by io::load_run_config.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "io/config_flags.h"
 #include "util/error.h"
 
 namespace desmine::tools {
@@ -24,6 +28,24 @@ struct OptionSpec {
   std::set<std::string> values;  ///< options that take a value
   std::set<std::string> flags;   ///< boolean options; present means true
 };
+
+/// `spec` plus the flags of every knob under `sections`.
+inline OptionSpec with_knob_flags(
+    OptionSpec spec, std::initializer_list<std::string_view> sections) {
+  for (const io::KnobFlag& f : io::knob_flags(sections)) {
+    (f.is_switch ? spec.flags : spec.values).insert(f.name);
+  }
+  return spec;
+}
+
+/// Longest period, in seconds, a tool waits between repeated actions
+/// (--metrics-interval-s, --interval-s): converting a longer double period
+/// to the clock's integer ticks could overflow.
+inline constexpr double kMaxIntervalS = 86400.0;
+
+/// Largest bound integer() accepts: doubles hold whole numbers exactly
+/// up to 2^53.
+inline constexpr std::uint64_t kMaxInteger = std::uint64_t{1} << 53;
 
 class Args {
  public:
@@ -92,10 +114,28 @@ class Args {
     return v;
   }
 
+  /// A whole number in [lo, hi], or `fallback` when absent (unchecked).
+  std::uint64_t integer(const std::string& key, std::uint64_t fallback,
+                        std::uint64_t lo = 0,
+                        std::uint64_t hi = kMaxInteger) const {
+    if (values_.count(key) == 0) return fallback;
+    const double v = number(key, 0.0);
+    if (v != std::floor(v) || v < static_cast<double>(lo) ||
+        v > static_cast<double>(hi)) {
+      throw PreconditionError("--" + key + " expects an integer in [" +
+                              std::to_string(lo) + ", " + std::to_string(hi) +
+                              "], got '" + values_.at(key) + "'");
+    }
+    return static_cast<std::uint64_t>(v);
+  }
+
   bool flag(const std::string& key) const {
     const auto it = values_.find(key);
     return it != values_.end() && it->second != "false" && it->second != "0";
   }
+
+  /// Every option given, by name: the input of io::load_run_config.
+  const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
   std::map<std::string, std::string> values_;

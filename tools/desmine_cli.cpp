@@ -49,6 +49,7 @@
 #include "args.h"
 #include "core/framework.h"
 #include "data/plant.h"
+#include "io/config_flags.h"
 #include "io/config_json.h"
 #include "io/csv.h"
 #include "io/serialize.h"
@@ -67,29 +68,24 @@ using desmine::tools::Args;
 
 namespace {
 
-/// Every option desmine_cli understands, across all subcommands.
+/// Every option desmine_cli understands, across all subcommands: the
+/// tool-local ones plus the knob flags of the sections train and detect
+/// use. generate's --seed and inspect's --lo/--hi reuse knob flag names but
+/// are read locally.
 const tools::OptionSpec& cli_options() {
-  static const tools::OptionSpec spec{
-      {"anomaly-day", "batch", "checkpoint", "components", "config", "days",
-       "dev", "dropout", "embedding", "health-drop-after",
-       "health-readmit-after", "health-stale-after", "health-unk-rate",
-       "health-unk-window", "hi", "hidden", "kernels", "layers", "lo",
-       "log-json", "log-level", "lr", "max-bad-rows", "max-retries",
-       "metrics-interval-s", "metrics-out", "min-coverage", "minutes",
-       "model", "on-bad-row", "out", "pair-timeout-s", "quarantine", "seed",
-       "sentence", "sentence-stride", "steps", "test", "threads", "tolerance",
-       "trace-out", "train", "word", "word-stride"},
-      {"degraded", "dump-config", "resume"}};
+  static const tools::OptionSpec spec = tools::with_knob_flags(
+      {{"anomaly-day", "components", "config", "days", "dev", "log-json",
+        "log-level", "max-bad-rows", "metrics-interval-s", "metrics-out",
+        "minutes", "model", "on-bad-row", "out", "quarantine", "test",
+        "trace-out", "train"},
+       {"degraded", "dump-config"}},
+      {"window", "miner", "detector", "health", "tensor"});
   return spec;
 }
 
-/// --config FILE as the option baseline; explicit flags override it.
+/// --config FILE as the baseline, overridden by every knob flag given.
 io::RunConfig base_config(const Args& args) {
-  io::RunConfig run;
-  const std::string path = args.get_or("config", "");
-  if (!path.empty()) run = io::load_run_config(path);
-  run.kernels = args.get_or("kernels", run.kernels);
-  return run;
+  return io::load_run_config(args.get_or("config", ""), args.values());
 }
 
 /// Select the compute backend from the merged `tensor.kernels` setting.
@@ -102,73 +98,19 @@ void select_kernels(const io::RunConfig& run) {
                                              tensor::kernels::active_backend()))});
 }
 
-core::FrameworkConfig config_from(const Args& args,
-                                  core::FrameworkConfig cfg) {
-  cfg.window.word_length = static_cast<std::size_t>(
-      args.number("word", static_cast<double>(cfg.window.word_length)));
-  cfg.window.word_stride = static_cast<std::size_t>(
-      args.number("word-stride", static_cast<double>(cfg.window.word_stride)));
-  cfg.window.sentence_length = static_cast<std::size_t>(args.number(
-      "sentence", static_cast<double>(cfg.window.sentence_length)));
-  cfg.window.sentence_stride = static_cast<std::size_t>(args.number(
-      "sentence-stride", static_cast<double>(cfg.window.sentence_stride)));
-
-  auto& model = cfg.miner.translation.model;
-  model.embedding_dim = static_cast<std::size_t>(
-      args.number("embedding", static_cast<double>(model.embedding_dim)));
-  model.hidden_dim = static_cast<std::size_t>(
-      args.number("hidden", static_cast<double>(model.hidden_dim)));
-  model.num_layers = static_cast<std::size_t>(
-      args.number("layers", static_cast<double>(model.num_layers)));
-  model.dropout = static_cast<float>(
-      args.number("dropout", static_cast<double>(model.dropout)));
-  model.max_decode_length = cfg.window.sentence_length + 2;
-
-  auto& trainer = cfg.miner.translation.trainer;
-  trainer.steps = static_cast<std::size_t>(
-      args.number("steps", static_cast<double>(trainer.steps)));
-  trainer.batch_size = static_cast<std::size_t>(
-      args.number("batch", static_cast<double>(trainer.batch_size)));
-  trainer.lr =
-      static_cast<float>(args.number("lr", static_cast<double>(trainer.lr)));
-
-  cfg.miner.seed = static_cast<std::uint64_t>(
-      args.number("seed", static_cast<double>(cfg.miner.seed)));
-  cfg.miner.threads = static_cast<std::size_t>(
-      args.number("threads", static_cast<double>(cfg.miner.threads)));
-
-  cfg.miner.checkpoint_path =
-      args.get_or("checkpoint", cfg.miner.checkpoint_path);
-  cfg.miner.resume = cfg.miner.resume || args.flag("resume");
-  cfg.miner.pair_timeout_s =
-      args.number("pair-timeout-s", cfg.miner.pair_timeout_s);
-  cfg.miner.retry.max_retries = static_cast<std::size_t>(args.number(
-      "max-retries", static_cast<double>(cfg.miner.retry.max_retries)));
-  if (cfg.miner.resume && cfg.miner.checkpoint_path.empty()) {
-    throw PreconditionError("--resume requires --checkpoint FILE");
-  }
-
-  cfg.detector.valid_lo = args.number("lo", cfg.detector.valid_lo);
-  cfg.detector.valid_hi = args.number("hi", cfg.detector.valid_hi);
-  cfg.detector.tolerance = args.number("tolerance", cfg.detector.tolerance);
-  return cfg;
-}
-
 int cmd_generate(const Args& args) {
   data::PlantConfig cfg;
-  cfg.days = static_cast<std::size_t>(args.number("days", 10));
-  cfg.minutes_per_day =
-      static_cast<std::size_t>(args.number("minutes", 240));
-  cfg.seed = static_cast<std::uint64_t>(args.number("seed", 7));
-  cfg.num_components = static_cast<std::size_t>(args.number("components", 3));
+  cfg.days = args.integer("days", 10);
+  cfg.minutes_per_day = args.integer("minutes", 240);
+  cfg.seed = args.integer("seed", 7);
+  cfg.num_components = args.integer("components", 3);
   cfg.sensors_per_component = 3;
   cfg.num_popular = 1;
   cfg.num_lazy = 2;
   cfg.num_constant = 1;
   cfg.anomalies.clear();
-  const double anomaly_day = args.number("anomaly-day", -1);
-  if (anomaly_day >= 0) {
-    cfg.anomalies.push_back({static_cast<std::size_t>(anomaly_day), {}});
+  if (!args.get_or("anomaly-day", "").empty()) {
+    cfg.anomalies.push_back({args.integer("anomaly-day", 0), {}});
   }
   const auto plant = data::generate_plant(cfg);
   io::write_series_csv(args.get("out"), plant.series);
@@ -180,7 +122,12 @@ int cmd_generate(const Args& args) {
 
 int cmd_train(const Args& args) {
   io::RunConfig run = base_config(args);
-  run.framework = config_from(args, run.framework);
+  auto& miner = run.framework.miner;
+  miner.translation.model.max_decode_length =
+      run.framework.window.sentence_length + 2;
+  if (miner.resume && miner.checkpoint_path.empty()) {
+    throw PreconditionError("--resume requires --checkpoint FILE");
+  }
   if (args.flag("dump-config")) {
     std::cout << io::run_config_to_json(run);
     return 0;
@@ -240,42 +187,20 @@ io::OnBadRow parse_on_bad_row(const std::string& v) {
                           v + "'");
 }
 
-robust::HealthConfig health_from(const Args& args, robust::HealthConfig h) {
-  h.drop_after_missing = static_cast<std::size_t>(args.number(
-      "health-drop-after", static_cast<double>(h.drop_after_missing)));
-  h.stale_after = static_cast<std::size_t>(
-      args.number("health-stale-after", static_cast<double>(h.stale_after)));
-  h.max_unk_rate = args.number("health-unk-rate", h.max_unk_rate);
-  h.unk_window = static_cast<std::size_t>(
-      args.number("health-unk-window", static_cast<double>(h.unk_window)));
-  h.readmit_after = static_cast<std::size_t>(args.number(
-      "health-readmit-after", static_cast<double>(h.readmit_after)));
-  return h;
-}
-
 int cmd_detect(const Args& args) {
-  io::RunConfig run = base_config(args);
-  core::FrameworkConfig cfg;
-  cfg.detector = run.framework.detector;
-  cfg.detector.valid_lo = args.number("lo", cfg.detector.valid_lo);
-  cfg.detector.valid_hi = args.number("hi", cfg.detector.valid_hi);
-  cfg.detector.tolerance = args.number("tolerance", cfg.detector.tolerance);
-  cfg.detector.min_coverage =
-      args.number("min-coverage", cfg.detector.min_coverage);
-  const robust::HealthConfig health = health_from(args, run.health);
+  const io::RunConfig run = base_config(args);
   if (args.flag("dump-config")) {
-    run.framework.detector = cfg.detector;
-    run.health = health;
     std::cout << io::run_config_to_json(run);
     return 0;
   }
   select_kernels(run);
+  core::FrameworkConfig cfg;
+  cfg.detector = run.framework.detector;
 
   const bool degraded_mode = args.flag("degraded");
   io::CsvOptions csv_opts;
   csv_opts.on_bad_row = parse_on_bad_row(args.get_or("on-bad-row", "throw"));
-  csv_opts.max_bad_rows =
-      static_cast<std::size_t>(args.number("max-bad-rows", 1000));
+  csv_opts.max_bad_rows = args.integer("max-bad-rows", 1000);
   if (csv_opts.on_bad_row == io::OnBadRow::kQuarantine) {
     csv_opts.quarantine_path =
         args.get_or("quarantine", args.get("test") + ".quarantine.jsonl");
@@ -302,7 +227,7 @@ int cmd_detect(const Args& args) {
 
   const auto result =
       degraded_mode
-          ? fw.detect_degraded(test_series, health, report.missing_ticks)
+          ? fw.detect_degraded(test_series, run.health, report.missing_ticks)
           : fw.detect(test_series);
 
   std::size_t degraded_windows = 0;
@@ -455,7 +380,8 @@ class PeriodicMetricsWriter {
  public:
   PeriodicMetricsWriter(std::string path, double interval_s)
       : path_(std::move(path)) {
-    DESMINE_EXPECTS(interval_s > 0.0, "--metrics-interval-s must be > 0");
+    DESMINE_EXPECTS(interval_s > 0.0 && interval_s <= tools::kMaxIntervalS,
+                    "--metrics-interval-s must lie in (0, 86400]");
     worker_ = std::thread([this, interval_s] {
       std::unique_lock lock(mu_);
       const auto interval = std::chrono::duration<double>(interval_s);

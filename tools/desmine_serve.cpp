@@ -43,17 +43,11 @@
 // Errors: {"ok":false,"error":"..."} — the connection stays up. A line
 // longer than kMaxLineBytes (1 MiB) answers "line too long" and is skipped.
 //
-// Options: --model FILE (required), --config FILE / --dump-config,
-// --listen PORT, detector band overrides (--lo --hi --tolerance
-// --min-coverage), serving knobs (--workers --max-batch --decode-cache
-// --max-pending --reject-when-full), fault-tolerance knobs
-// (--max-global-pending --max-queue-delay-ms --max-consecutive-shed
-// --circuit-open-after --circuit-probe-after), compute-kernel knobs
-// (--kernels, DESIGN.md §16), telemetry knobs
-// (--telemetry-port --slow-window-ms --sliding-window-s --sliding-epochs;
-// /metrics serves Prometheus text, /statusz the version/uptime/generation/
-// stage-quantiles document), health knobs as desmine_cli detect, and the
-// shared observability flags. Exit codes match desmine_cli:
+// Options (see usage()): --model FILE (required), --listen PORT, --config
+// FILE / --dump-config, the knob flags of the detector, health, serve and
+// tensor sections (the knob table, io/config_flags.h; --telemetry-port
+// serves Prometheus /metrics and the /statusz document), and the shared
+// observability flags. Exit codes match desmine_cli:
 // 0 ok | 1 runtime error | 2 usage error | 130 interrupted.
 #include <csignal>
 #include <netinet/in.h>
@@ -69,6 +63,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -80,6 +75,7 @@
 
 #include "args.h"
 #include "desmine.h"
+#include "io/config_flags.h"
 #include "obs/json.h"
 #include "robust/interrupt.h"
 #include "util/error.h"
@@ -90,81 +86,14 @@ using desmine::tools::Args;
 
 namespace {
 
+/// desmine_serve's options: the tool-local ones plus the knob flags of
+/// the sections serving uses.
 const tools::OptionSpec& serve_options() {
-  static const tools::OptionSpec spec{
-      {"circuit-open-after", "circuit-probe-after", "config", "decode-cache",
-       "health-drop-after", "health-readmit-after", "health-stale-after",
-       "health-unk-rate", "health-unk-window", "hi", "kernels", "listen",
-       "lo", "log-json", "log-level", "max-batch", "max-consecutive-shed",
-       "max-global-pending", "max-pending", "max-queue-delay-ms",
-       "metrics-out", "min-coverage", "model", "resident-bytes",
-       "resident-edges", "sliding-epochs", "sliding-window-s",
-       "slow-window-ms", "telemetry-port", "tolerance", "workers"},
-      {"dump-config", "force-heap-fallback", "reject-when-full"}};
+  static const tools::OptionSpec spec = tools::with_knob_flags(
+      {{"config", "listen", "log-json", "log-level", "metrics-out", "model"},
+       {"dump-config", "force-heap-fallback"}},
+      {"detector", "health", "serve", "tensor"});
   return spec;
-}
-
-io::RunConfig effective_config(const Args& args) {
-  io::RunConfig run;
-  const std::string path = args.get_or("config", "");
-  if (!path.empty()) run = io::load_run_config(path);
-
-  auto& d = run.framework.detector;
-  d.valid_lo = args.number("lo", d.valid_lo);
-  d.valid_hi = args.number("hi", d.valid_hi);
-  d.tolerance = args.number("tolerance", d.tolerance);
-  d.min_coverage = args.number("min-coverage", d.min_coverage);
-
-  auto& h = run.health;
-  h.drop_after_missing = static_cast<std::size_t>(args.number(
-      "health-drop-after", static_cast<double>(h.drop_after_missing)));
-  h.stale_after = static_cast<std::size_t>(
-      args.number("health-stale-after", static_cast<double>(h.stale_after)));
-  h.max_unk_rate = args.number("health-unk-rate", h.max_unk_rate);
-  h.unk_window = static_cast<std::size_t>(
-      args.number("health-unk-window", static_cast<double>(h.unk_window)));
-  h.readmit_after = static_cast<std::size_t>(args.number(
-      "health-readmit-after", static_cast<double>(h.readmit_after)));
-
-  auto& s = run.serve;
-  s.workers = static_cast<std::size_t>(
-      args.number("workers", static_cast<double>(s.workers)));
-  s.max_batch = static_cast<std::size_t>(
-      args.number("max-batch", static_cast<double>(s.max_batch)));
-  s.decode_cache = static_cast<std::size_t>(
-      args.number("decode-cache", static_cast<double>(s.decode_cache)));
-  s.limits.max_pending_windows = static_cast<std::size_t>(args.number(
-      "max-pending", static_cast<double>(s.limits.max_pending_windows)));
-  s.limits.reject_when_full =
-      s.limits.reject_when_full || args.flag("reject-when-full");
-  s.limits.max_consecutive_shed = static_cast<std::size_t>(
-      args.number("max-consecutive-shed",
-                  static_cast<double>(s.limits.max_consecutive_shed)));
-  s.max_global_pending = static_cast<std::size_t>(args.number(
-      "max-global-pending", static_cast<double>(s.max_global_pending)));
-  s.max_queue_delay_ms = args.number("max-queue-delay-ms",
-                                     s.max_queue_delay_ms);
-  s.circuit_open_after = static_cast<std::size_t>(args.number(
-      "circuit-open-after", static_cast<double>(s.circuit_open_after)));
-  s.circuit_probe_after = static_cast<std::size_t>(args.number(
-      "circuit-probe-after", static_cast<double>(s.circuit_probe_after)));
-  s.telemetry_port = static_cast<std::size_t>(
-      args.number("telemetry-port", static_cast<double>(s.telemetry_port)));
-  s.resident_bytes = static_cast<std::uint64_t>(args.number(
-      "resident-bytes", static_cast<double>(s.resident_bytes)));
-  s.resident_edges = static_cast<std::size_t>(args.number(
-      "resident-edges", static_cast<double>(s.resident_edges)));
-  s.slow_window_ms = args.number("slow-window-ms", s.slow_window_ms);
-  s.sliding_window_s = args.number("sliding-window-s", s.sliding_window_s);
-  s.sliding_epochs = static_cast<std::size_t>(args.number(
-      "sliding-epochs", static_cast<double>(s.sliding_epochs)));
-  s.detector = d;
-
-  // --kernels overrides the config file's `tensor.kernels`; the choice is
-  // validated and applied at startup (after any --dump-config exit), never
-  // mid-stream.
-  run.kernels = args.get_or("kernels", run.kernels);
-  return run;
 }
 
 /// Per-stage latency quantiles out of the cumulative stage histograms —
@@ -595,7 +524,7 @@ int run_stdin(serve::SessionManager& manager, core::DegradedConfig degraded,
 }
 
 int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
-            const std::string& model_path, int port) {
+            const std::string& model_path, std::uint16_t port) {
   // std::signal installs SA_RESTART handlers, under which a blocking
   // accept()/read() silently resumes and SIGINT/SIGTERM never interrupt the
   // server. Re-install without SA_RESTART so they fail with EINTR instead.
@@ -613,7 +542,7 @@ int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(port);
   if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
       ::listen(listener, 16) < 0) {
     ::close(listener);
@@ -621,7 +550,14 @@ int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
   }
   DESMINE_LOG_INFO("serving", {obs::kv("port", static_cast<std::int64_t>(port))});
 
-  std::vector<std::thread> connections;
+  // One entry per connection thread; a thread sets `done` as its last act.
+  // Each accept joins the finished ones, so an ended connection does not
+  // keep its stack mapped until shutdown. A list keeps `done` in place.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
   std::mutex fds_mu;
   std::vector<int> open_fds;
   // The shutdown op's hook: flag the interrupt like SIGTERM would, then
@@ -633,12 +569,18 @@ int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
   while (!robust::interrupted()) {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) break;  // interrupted or listener torn down
+    connections.remove_if([](Connection& c) {
+      if (!c.done.load(std::memory_order_acquire)) return false;
+      c.thread.join();
+      return true;
+    });
     {
       std::lock_guard lock(fds_mu);
       open_fds.push_back(fd);
     }
-    connections.emplace_back([fd, &manager, degraded, &model_path,
-                              &shutdown_hook, &fds_mu, &open_fds] {
+    Connection& conn = connections.emplace_back();
+    conn.thread = std::thread([fd, &conn, &manager, degraded, &model_path,
+                               &shutdown_hook, &fds_mu, &open_fds] {
       Protocol protocol(manager, degraded, model_path, shutdown_hook);
       FdWriter out(fd);
       serve_lines(fd, protocol, out);
@@ -649,6 +591,7 @@ int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
         open_fds.erase(std::find(open_fds.begin(), open_fds.end(), fd));
       }
       ::close(fd);
+      conn.done.store(true, std::memory_order_release);
     });
   }
   ::close(listener);
@@ -658,7 +601,7 @@ int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
     std::lock_guard lock(fds_mu);
     for (const int fd : open_fds) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : connections) t.join();
+  for (Connection& c : connections) c.thread.join();
   return robust::interrupted() ? 130 : 0;
 }
 
@@ -723,7 +666,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    io::RunConfig run = effective_config(*args);
+    // --kernels and every other knob flag override the --config file; the
+    // backend is applied at startup (after any --dump-config exit), never
+    // mid-stream. --listen is checked before the model is opened.
+    const io::RunConfig run =
+        io::load_run_config(args->get_or("config", ""), args->values());
+    const auto listen_port =
+        static_cast<std::uint16_t>(args->integer("listen", 0, 1, 65535));
     if (args->flag("dump-config")) {
       std::cout << io::run_config_to_json(run);
       return 0;
@@ -777,11 +726,9 @@ int main(int argc, char** argv) {
     });
 
     robust::install_signal_flag();
-    const int rc =
-        args->get_or("listen", "").empty()
-            ? run_stdin(manager, degraded, model_path)
-            : run_tcp(manager, degraded, model_path,
-                      static_cast<int>(args->number("listen", 0)));
+    const int rc = listen_port == 0
+                       ? run_stdin(manager, degraded, model_path)
+                       : run_tcp(manager, degraded, model_path, listen_port);
 
     watcher_stop.store(true, std::memory_order_relaxed);
     reload_watcher.join();

@@ -196,16 +196,15 @@ int main(int argc, char** argv) {
   std::size_t frames = 0;
   try {
     args = std::make_unique<Args>(argc, argv, 1, top_options());
-    const double p = args->number("port", 0.0);
-    if (p < 1.0 || p > 65535.0) {
+    port = static_cast<std::uint16_t>(args->integer("port", 0, 1, 65535));
+    if (port == 0) {
       throw PreconditionError("--port P in [1, 65535] is required");
     }
-    port = static_cast<std::uint16_t>(p);
     interval_s = args->number("interval-s", interval_s);
-    if (interval_s <= 0.0) {
-      throw PreconditionError("--interval-s must be > 0");
+    if (!(interval_s > 0.0 && interval_s <= tools::kMaxIntervalS)) {
+      throw PreconditionError("--interval-s must lie in (0, 86400]");
     }
-    frames = static_cast<std::size_t>(args->number("frames", 0.0));
+    frames = args->integer("frames", 0);
   } catch (const std::exception& e) {
     std::cerr << "usage error: " << e.what() << "\n";
     usage();
