@@ -165,11 +165,12 @@ static void BM_AttentionScore(benchmark::State& state) {
     enc.emplace_back(kBatch, kHidden);
     enc.back().init_uniform(rng, 0.5f);
   }
+  const std::vector<dt::ConstMatrixView> enc_views(enc.begin(), enc.end());
   dt::Matrix h_dec(kBatch, kHidden, 0.1f);
   dt::Workspace ws;
   for (auto _ : state) {
     ws.reset();
-    attn.begin(&enc, kBatch, &ws);
+    attn.begin(enc_views, kBatch, &ws);
     benchmark::DoNotOptimize(attn.step(h_dec).data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

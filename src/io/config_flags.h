@@ -33,6 +33,8 @@ RunConfig load_run_config(const std::string& path,
 struct KnobFlag {
   std::string name;
   bool is_switch = false;
+  std::string key;            ///< the dotted config key it sets
+  std::string default_value;  ///< as --dump-config prints the default
 };
 
 /// The flags of every knob under the given top-level sections ("serve",

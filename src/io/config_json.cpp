@@ -335,13 +335,32 @@ void dump(const JsonValue& v, std::string& out, int depth) {
   }
 }
 
+/// The JsonValue `field` is dumped as.
+template <class T>
+JsonValue to_json(const Knob& knob, const T& field) {
+  JsonValue v;
+  v.type = JsonValue::Type::kString;
+  if constexpr (std::is_same_v<T, bool>) {
+    v.type = JsonValue::Type::kBool;
+    v.boolean = field;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v.string = field;
+  } else if constexpr (std::is_enum_v<T>) {
+    v.string = knob.names[static_cast<std::size_t>(field)];
+  } else {  // integers exactly, floats and doubles shortest round-trip
+    char buf[32];
+    v.type = JsonValue::Type::kNumber;
+    v.string.assign(buf, std::to_chars(buf, buf + sizeof(buf), field).ptr);
+  }
+  return v;
+}
+
 }  // namespace
 
 std::string run_config_to_json(const RunConfig& config) {
   JsonValue doc;
   doc.type = JsonValue::Type::kObject;
   for_each_knob(config, [&](const Knob& knob, const auto& field) {
-    using T = std::decay_t<decltype(field)>;
     // Descend to the knob's section, opening it at its first knob.
     JsonValue* obj = &doc;
     std::string_view key = knob.key;
@@ -354,21 +373,7 @@ std::string run_config_to_json(const RunConfig& config) {
       obj = &obj->object.back().second;
       key.remove_prefix(dot + 1);
     }
-    JsonValue v;
-    v.type = JsonValue::Type::kString;
-    if constexpr (std::is_same_v<T, bool>) {
-      v.type = JsonValue::Type::kBool;
-      v.boolean = field;
-    } else if constexpr (std::is_same_v<T, std::string>) {
-      v.string = field;
-    } else if constexpr (std::is_enum_v<T>) {
-      v.string = knob.names[static_cast<std::size_t>(field)];
-    } else {  // integers exactly, floats and doubles shortest round-trip
-      char buf[32];
-      v.type = JsonValue::Type::kNumber;
-      v.string.assign(buf, std::to_chars(buf, buf + sizeof(buf), field).ptr);
-    }
-    obj->object.emplace_back(std::string(key), std::move(v));
+    obj->object.emplace_back(std::string(key), to_json(knob, field));
   });
   std::string out;
   dump(doc, out, 0);
@@ -423,11 +428,13 @@ std::vector<KnobFlag> knob_flags(
     std::initializer_list<std::string_view> sections) {
   std::vector<KnobFlag> out;
   const RunConfig defaults;
-  for_each_knob(defaults, [&](const Knob& knob, const auto&) {
+  for_each_knob(defaults, [&](const Knob& knob, const auto& field) {
     const std::string_view key = knob.key;
     for (const std::string_view section : sections) {
       if (knob.flag && key.substr(0, key.find('.')) == section) {
-        out.push_back({knob.flag, knob.kind == Kind::kBool});
+        std::string value;
+        dump(to_json(knob, field), value, 0);
+        out.push_back({knob.flag, knob.kind == Kind::kBool, knob.key, value});
       }
     }
   });

@@ -250,8 +250,11 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
 
   // Lock-step ragged encode: rows run to the longest source; a row past its
   // own length steps on <pad> and is immediately rolled back, so its final
-  // state is exactly the state at its true length.
-  encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws_);
+  // state is exactly the state at its true length. Nothing runs backward, so
+  // the stacks and attention keep no backward state: what outlives a step is
+  // the top-layer encoder output (copied out for attention), its attention
+  // transform, and each layer's current h/c; all else is rewound per step.
+  encoder_.begin_decode(B, nullptr, *ws_);
   enc_outputs_.clear();
   enc_outputs_.reserve(max_len);
   std::vector<std::int32_t> step_ids(B);
@@ -268,15 +271,20 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
         any_frozen = true;
       }
     }
+    tensor::MatrixView enc_out = ws_->alloc(B, config_.hidden_dim);
+    const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
     tensor::MatrixView src_emb = ws_->alloc(B, config_.embedding_dim);
     src_embed_.forward_into(step_ids, src_emb);
-    enc_outputs_.push_back(encoder_.step(src_emb));
+    const tensor::ConstMatrixView top = encoder_.step(src_emb);
     if (any_frozen) encoder_.retain_rows(frozen);
+    enc_out.copy_from(top);
+    enc_outputs_.push_back(enc_out);
+    ws_->rewind(scratch);
   }
   const nn::LstmState enc_final = encoder_.state();
 
-  decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws_);
-  attention_.begin(enc_outputs_, B, ws_, &lengths);
+  decoder_.begin_decode(B, &enc_final, *ws_);
+  attention_.begin_decode(enc_outputs_, B, *ws_, lengths);
 
   // Lock-step greedy decode. A finished row keeps stepping (its state no
   // longer feeds anything that is kept), which cannot perturb other rows:
@@ -287,11 +295,11 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   std::size_t done_count = 0;
   for (std::size_t t = 0;
        t < config_.max_decode_length && done_count < B; ++t) {
+    const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
     tensor::MatrixView tgt_emb = ws_->alloc(B, config_.embedding_dim);
     tgt_embed_.forward_into(prev, tgt_emb);
     const tensor::ConstMatrixView h_dec = decoder_.step(tgt_emb);
     const tensor::ConstMatrixView attn = attention_.step(h_dec);
-    const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
     tensor::MatrixView logits = ws_->alloc(B, tgt_vocab());
     out_.forward_into(attn, logits);
     const std::vector<std::int32_t> next =

@@ -12,7 +12,9 @@
 // per-thread arena), rewound wholesale at the start of every batch/decode.
 // After the first step has grown the arena to its high-water mark, training
 // and greedy decoding perform no steady-state heap allocation in the
-// numeric path (see DESIGN.md §10).
+// numeric path. translate_batch() keeps no backward state, so its arena
+// holds at most two (batch x hidden) views per source position plus one
+// step's scratch, whatever max_decode_length is (see DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -72,9 +74,9 @@ class Seq2SeqModel {
   double evaluate_loss(const std::vector<const EncodedPair*>& batch);
 
   /// Greedy-decode a single source sentence; returns target ids without
-  /// specials. The sequential reference decoder: production code decodes
-  /// through translate_batch(), and the batch-parity tests compare it
-  /// against this one.
+  /// specials. The sequential reference decoder: it steps through the
+  /// training path's cached forward pass, production code decodes through
+  /// translate_batch(), and the batch-parity tests compare the two.
   std::vector<std::int32_t> translate(
       const std::vector<std::int32_t>& source);
 

@@ -36,30 +36,47 @@ text::BleuBreakdown TranslationModel::score(const text::Corpus& source,
 
 std::vector<text::Sentence> TranslationModel::translate_batch(
     const std::vector<const text::Sentence*>& sources) {
-  DESMINE_EXPECTS(!sources.empty(), "cannot translate an empty batch");
-  // Dedup on encoded ids: greedy decoding is deterministic, so one decode
-  // serves every occurrence and the fan-out stays bit-identical.
   std::vector<std::vector<std::int32_t>> encoded;
-  std::vector<std::size_t> slot(sources.size());
-  std::map<std::vector<std::int32_t>, std::size_t> seen;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    DESMINE_EXPECTS(sources[i] != nullptr, "null source sentence");
-    std::vector<std::int32_t> ids = src_vocab_.encode(*sources[i]);
-    const auto [it, inserted] = seen.emplace(std::move(ids), encoded.size());
-    if (inserted) encoded.push_back(it->first);
-    slot[i] = it->second;
+  encoded.reserve(sources.size());
+  for (const text::Sentence* source : sources) {
+    DESMINE_EXPECTS(source != nullptr, "null source sentence");
+    encoded.push_back(src_vocab_.encode(*source));
   }
-  std::vector<const std::vector<std::int32_t>*> unique_ptrs;
-  unique_ptrs.reserve(encoded.size());
-  for (const auto& ids : encoded) unique_ptrs.push_back(&ids);
-  const std::vector<std::vector<std::int32_t>> decoded =
-      model_->translate_batch(unique_ptrs);
-
+  std::vector<const std::vector<std::int32_t>*> ids;
+  for (const auto& e : encoded) ids.push_back(&e);
   std::vector<text::Sentence> out;
   out.reserve(sources.size());
+  for (const auto& d : decode_ids(ids)) out.push_back(tgt_vocab_.decode(d));
+  return out;
+}
+
+std::vector<std::vector<std::int32_t>> TranslationModel::decode_ids(
+    const std::vector<const std::vector<std::int32_t>*>& sources) {
+  DESMINE_EXPECTS(!sources.empty(), "cannot translate an empty batch");
+  // Greedy decoding is a pure function of the source ids, so one decode
+  // serves every occurrence and the fan-out stays bit-identical.
+  const auto deref_less = [](const std::vector<std::int32_t>* a,
+                             const std::vector<std::int32_t>* b) {
+    return *a < *b;
+  };
+  std::map<const std::vector<std::int32_t>*, std::size_t,
+           decltype(deref_less)>
+      seen(deref_less);
+  std::vector<const std::vector<std::int32_t>*> unique;
+  std::vector<std::size_t> slot(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    out.push_back(tgt_vocab_.decode(decoded[slot[i]]));
+    DESMINE_EXPECTS(sources[i] != nullptr, "null source sentence");
+    const auto [it, inserted] = seen.emplace(sources[i], unique.size());
+    if (inserted) unique.push_back(sources[i]);
+    slot[i] = it->second;
   }
+  std::vector<std::vector<std::int32_t>> decoded =
+      model_->translate_batch(unique);
+  for (auto& ids : decoded) std::erase_if(ids, text::Vocabulary::is_markup);
+  if (unique.size() == sources.size()) return decoded;
+  std::vector<std::vector<std::int32_t>> out;
+  out.reserve(sources.size());
+  for (const std::size_t k : slot) out.push_back(decoded[k]);
   return out;
 }
 

@@ -45,11 +45,17 @@ class TranslationModel {
                             const text::BleuOptions& options = {});
 
   /// Translate a batch of sentences in one stacked greedy decode
-  /// (Seq2SeqModel::translate_batch), bit-identical per sentence to
-  /// translate(). Duplicate sources — the common case for periodic discrete
-  /// event streams — are decoded once and fanned back out.
+  /// (decode_ids()), bit-identical per sentence to translate().
   std::vector<text::Sentence> translate_batch(
       const std::vector<const text::Sentence*>& sources);
+
+  /// Greedy-decode source ids (src_vocab().encode()) in one stacked pass of
+  /// Seq2SeqModel::translate_batch and return each output's ids with the
+  /// markup decode() drops removed: ready for id BLEU against a reference
+  /// encoded with Vocabulary::kNoMatch. Duplicate sources — the common case for
+  /// periodic discrete event streams — are decoded once and fanned back out.
+  std::vector<std::vector<std::int32_t>> decode_ids(
+      const std::vector<const std::vector<std::int32_t>*>& sources);
 
   /// Translate any number of sentences, none included, through
   /// translate_batch() in passes of at most kCorpusDecodeRows. The model's

@@ -21,26 +21,13 @@ LuongAttention::LuongAttention(const std::string& name, std::size_t hidden,
   }
 }
 
-void LuongAttention::begin(
+void LuongAttention::bind(
     const std::vector<tensor::ConstMatrixView>& encoder_outputs,
-    std::size_t batch, tensor::Workspace* workspace,
-    const std::vector<std::size_t>* source_lengths) {
+    std::size_t batch, tensor::Workspace& workspace) {
   DESMINE_EXPECTS(!encoder_outputs.empty(), "attention needs encoder outputs");
-  ws_ = workspace != nullptr ? workspace : &own_ws_;
-  if (workspace == nullptr) own_ws_.reset();
+  ws_ = &workspace;
   enc_.assign(encoder_outputs.begin(), encoder_outputs.end());
   batch_ = batch;
-  if (source_lengths != nullptr) {
-    DESMINE_EXPECTS(source_lengths->size() == batch,
-                    "one source length per batch row");
-    for (const std::size_t len : *source_lengths) {
-      DESMINE_EXPECTS(len > 0 && len <= enc_.size(),
-                      "source length outside [1, src_len]");
-    }
-    src_lengths_ = *source_lengths;
-  } else {
-    src_lengths_.clear();
-  }
   transformed_.clear();
   transformed_.reserve(enc_.size());
   for (const tensor::ConstMatrixView e : enc_) {
@@ -56,21 +43,36 @@ void LuongAttention::begin(
     }
   }
   d_encoder_.clear();
-  d_encoder_.reserve(enc_.size());
-  for (std::size_t s = 0; s < enc_.size(); ++s) {
-    d_encoder_.push_back(ws_->alloc(batch, hidden_));
-  }
   steps_.clear();
   backward_cursor_ = 0;
 }
 
-void LuongAttention::begin(const std::vector<tensor::Matrix>* encoder_outputs,
-                           std::size_t batch, tensor::Workspace* workspace) {
-  DESMINE_EXPECTS(encoder_outputs != nullptr, "attention needs encoder outputs");
-  std::vector<tensor::ConstMatrixView> views;
-  views.reserve(encoder_outputs->size());
-  for (const tensor::Matrix& e : *encoder_outputs) views.emplace_back(e);
-  begin(views, batch, workspace);
+void LuongAttention::begin(
+    const std::vector<tensor::ConstMatrixView>& encoder_outputs,
+    std::size_t batch, tensor::Workspace* workspace) {
+  if (workspace == nullptr) own_ws_.reset();
+  bind(encoder_outputs, batch, workspace != nullptr ? *workspace : own_ws_);
+  decode_ = false;
+  src_lengths_.clear();
+  d_encoder_.reserve(enc_.size());
+  for (std::size_t s = 0; s < enc_.size(); ++s) {
+    d_encoder_.push_back(ws_->alloc(batch, hidden_));
+  }
+}
+
+void LuongAttention::begin_decode(
+    const std::vector<tensor::ConstMatrixView>& encoder_outputs,
+    std::size_t batch, tensor::Workspace& workspace,
+    const std::vector<std::size_t>& source_lengths) {
+  bind(encoder_outputs, batch, workspace);
+  decode_ = true;
+  DESMINE_EXPECTS(source_lengths.size() == batch,
+                  "one source length per batch row");
+  for (const std::size_t len : source_lengths) {
+    DESMINE_EXPECTS(len > 0 && len <= enc_.size(),
+                    "source length outside [1, src_len]");
+  }
+  src_lengths_ = source_lengths;
 }
 
 tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
@@ -80,9 +82,11 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   const std::size_t S = enc_.size();
 
   StepCache cache;
-  // h_dec is copied so the cache survives transient caller buffers.
-  cache.h_dec = ws_->alloc(batch_, hidden_);
-  cache.h_dec.copy_from(h_dec);
+  if (!decode_) {
+    // h_dec is copied so the cache survives transient caller buffers.
+    cache.h_dec = ws_->alloc(batch_, hidden_);
+    cache.h_dec.copy_from(h_dec);
+  }
 
   // Scores: score(b, s) = <h_dec[b], (enc[s] Wa)[b]>.
   cache.align = ws_->alloc(batch_, S);
@@ -129,6 +133,7 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
                cache.concat, wc_.view(), 0.0f, cache.attn);
   cache.attn.apply([](float v) { return std::tanh(v); });
+  if (decode_) return cache.attn;
 
   steps_.push_back(cache);
   backward_cursor_ = steps_.size();

@@ -14,7 +14,8 @@
 // internal fallback arena); transient backward scratch is reclaimed via
 // checkpoint/rewind inside each backward_step. Views returned by step()/
 // backward_step() stay valid until that workspace is next rewound by its
-// owner.
+// owner. A greedy decode binds with begin_decode() instead, which keeps no
+// backward state: no encoder-gradient accumulators and no per-step cache.
 #pragma once
 
 #include <string>
@@ -40,26 +41,26 @@ class LuongAttention {
                  WeightStorage storage = WeightStorage::kOwned);
 
   /// Bind the encoder outputs (one (batch x H) view per source position) for
-  /// the coming decode. The viewed storage must outlive the sequence.
+  /// the coming pass. The viewed storage must outlive the sequence.
   /// `workspace`, if given, backs the per-step caches and encoder-gradient
   /// accumulators (never rewound here — the owner rewinds between
   /// sequences); otherwise an internal arena is used and reset here.
-  /// `source_lengths`, if given, holds one true source length per batch row
-  /// (rows were encoded in lock-step and padded to the longest): step() then
-  /// pins align(b, s) to -inf for s >= source_lengths[b] before the softmax,
+  void begin(const std::vector<tensor::ConstMatrixView>& encoder_outputs,
+             std::size_t batch, tensor::Workspace* workspace = nullptr);
+
+  /// Bind the encoder outputs for a greedy decode that keeps no backward
+  /// state: everything step() allocates in `workspace` is scratch the caller
+  /// may rewind once it has read h~, and backward_step() throws.
+  /// `source_lengths` holds one true source length per batch row (rows were
+  /// encoded in lock-step and padded to the longest): step() pins
+  /// align(b, s) to -inf for s >= source_lengths[b] before the softmax,
   /// which makes every padded position's weight exactly 0.0f. Because
   /// max(x, -inf) == x and x + 0.0f == x bitwise, the softmax over the valid
   /// prefix — and hence the context and h~ — is bit-identical to running
-  /// that row alone at its compact length. Masked decodes are inference
-  /// only: backward_step through a -inf score is undefined.
-  void begin(const std::vector<tensor::ConstMatrixView>& encoder_outputs,
-             std::size_t batch, tensor::Workspace* workspace = nullptr,
-             const std::vector<std::size_t>* source_lengths = nullptr);
-
-  /// Convenience overload over owned encoder outputs. The pointed-to vector
-  /// must outlive the sequence.
-  void begin(const std::vector<tensor::Matrix>* encoder_outputs,
-             std::size_t batch, tensor::Workspace* workspace = nullptr);
+  /// that row alone at its compact length.
+  void begin_decode(const std::vector<tensor::ConstMatrixView>& encoder_outputs,
+                    std::size_t batch, tensor::Workspace& workspace,
+                    const std::vector<std::size_t>& source_lengths);
 
   /// One decoder step: consume the decoder top hidden state, return the
   /// attentional hidden state h~ (batch x H).
@@ -83,10 +84,11 @@ class LuongAttention {
     reg.add(&wc_);
   }
 
-  std::size_t hidden() const { return hidden_; }
-  AttentionScore score_type() const { return score_; }
-
  private:
+  /// What both begins share: bind, check shapes, transform the encoder.
+  void bind(const std::vector<tensor::ConstMatrixView>& encoder_outputs,
+            std::size_t batch, tensor::Workspace& workspace);
+
   struct StepCache {
     tensor::MatrixView h_dec;   ///< (batch x H), copied into the workspace
     tensor::MatrixView align;   ///< (batch x S)
@@ -108,6 +110,7 @@ class LuongAttention {
   std::vector<StepCache> steps_;
   std::size_t backward_cursor_ = 0;  ///< steps remaining to backprop
   std::size_t batch_ = 0;
+  bool decode_ = false;  ///< begin_decode(): no backward state kept
 };
 
 }  // namespace desmine::nn

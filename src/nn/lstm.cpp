@@ -54,6 +54,8 @@ void LstmStack::begin(std::size_t batch, const LstmState* init, bool train,
   // private fallback arena is safe to reset here.
   ws_ = workspace != nullptr ? workspace : &own_ws_;
   if (workspace == nullptr) own_ws_.reset();
+  decode_ = false;
+  steps_ = 0;
   caches_.clear();
   if (state0_.h.size() != layers_.size() || state0_.h.empty() ||
       state0_.h[0].rows() != batch) {
@@ -77,17 +79,32 @@ void LstmStack::begin(std::size_t batch, const LstmState* init, bool train,
   }
 }
 
+void LstmStack::begin_decode(std::size_t batch, const LstmState* init,
+                             tensor::Workspace& workspace) {
+  begin(batch, init, /*train=*/false, nullptr, &workspace);
+  decode_ = true;
+  caches_.resize(2 * layers_.size());
+  for (LayerCache& slot : caches_) {
+    slot.c = ws_->alloc(batch, hidden_dim_);
+    slot.h = ws_->alloc(batch, hidden_dim_);
+  }
+}
+
 void LstmStack::step_layer(std::size_t l, tensor::ConstMatrixView input,
                            tensor::ConstMatrixView h_prev,
                            tensor::ConstMatrixView c_prev, LayerCache& cache) {
   const std::size_t H = hidden_dim_;
+  if (!decode_) {  // a decode writes c and h into its begin_decode() slots
+    cache.c = ws_->alloc(batch_, H);
+    cache.h = ws_->alloc(batch_, H);
+  }
+  // Training keeps the gates for backward; a decode reclaims them with z.
+  const tensor::Workspace::Checkpoint gates = ws_->checkpoint();
   cache.i = ws_->alloc(batch_, H);
   cache.f = ws_->alloc(batch_, H);
   cache.g = ws_->alloc(batch_, H);
   cache.o = ws_->alloc(batch_, H);
-  cache.c = ws_->alloc(batch_, H);
   cache.tanh_c = ws_->alloc(batch_, H);
-  cache.h = ws_->alloc(batch_, H);
 
   // The fused pre-activation is transient: reclaim it once the gates are out.
   const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
@@ -101,19 +118,28 @@ void LstmStack::step_layer(std::size_t l, tensor::ConstMatrixView input,
   tensor::lstm_gate_fusion(z, c_prev,
                            {cache.i, cache.f, cache.g, cache.o, cache.c,
                             cache.tanh_c, cache.h});
-  ws_->rewind(scratch);
+  ws_->rewind(decode_ ? gates : scratch);
 }
 
 tensor::ConstMatrixView LstmStack::step(tensor::ConstMatrixView x_t) {
   DESMINE_EXPECTS(x_t.rows() == batch_ && x_t.cols() == input_dim_,
                   "lstm step input shape");
   const std::size_t L = layers_.size();
-  const std::size_t t = caches_.size() / L;
-  caches_.resize(caches_.size() + L);
+  const std::size_t t = steps_++;
+  if (!decode_) caches_.resize(caches_.size() + L);
 
   tensor::ConstMatrixView layer_in = x_t;
   for (std::size_t l = 0; l < L; ++l) {
     LayerCache& lc = cache_at(t, l);
+    const tensor::ConstMatrixView h_prev =
+        (t == 0) ? tensor::ConstMatrixView(state0_.h[l]) : cache_at(t - 1, l).h;
+    const tensor::ConstMatrixView c_prev =
+        (t == 0) ? tensor::ConstMatrixView(state0_.c[l]) : cache_at(t - 1, l).c;
+    if (decode_) {
+      step_layer(l, layer_in, h_prev, c_prev, lc);
+      layer_in = lc.h;
+      continue;
+    }
     // Inverted dropout on the layer's (non-recurrent) input. The input is
     // copied into the workspace so it stays valid through backward() even
     // when the caller's buffer is transient.
@@ -127,10 +153,6 @@ tensor::ConstMatrixView LstmStack::step(tensor::ConstMatrixView x_t) {
       }
       lc.input.hadamard(lc.mask);
     }
-    const tensor::ConstMatrixView h_prev =
-        (t == 0) ? tensor::ConstMatrixView(state0_.h[l]) : cache_at(t - 1, l).h;
-    const tensor::ConstMatrixView c_prev =
-        (t == 0) ? tensor::ConstMatrixView(state0_.c[l]) : cache_at(t - 1, l).c;
     step_layer(l, lc.input, h_prev, c_prev, lc);
     layer_in = lc.h;
   }
@@ -138,7 +160,7 @@ tensor::ConstMatrixView LstmStack::step(tensor::ConstMatrixView x_t) {
 }
 
 void LstmStack::retain_rows(const std::vector<std::uint8_t>& frozen) {
-  DESMINE_EXPECTS(!caches_.empty(), "retain_rows needs a prior step()");
+  DESMINE_EXPECTS(steps_ > 0, "retain_rows needs a prior step()");
   DESMINE_EXPECTS(frozen.size() == batch_, "one freeze flag per batch row");
   const std::size_t t = steps() - 1;
   const std::size_t H = hidden_dim_;
@@ -163,26 +185,21 @@ void LstmStack::retain_rows(const std::vector<std::uint8_t>& frozen) {
 }
 
 LstmState LstmStack::state() const {
-  DESMINE_EXPECTS(!caches_.empty() || !state0_.empty(), "no state yet");
+  DESMINE_EXPECTS(!state0_.empty(), "no state yet");
+  if (steps_ == 0) return state0_;
   LstmState s;
-  if (caches_.empty()) return state0_;
-  const std::size_t t = steps() - 1;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.h.emplace_back(cache_at(t, l).h);
-    s.c.emplace_back(cache_at(t, l).c);
+    s.h.emplace_back(cache_at(steps_ - 1, l).h);
+    s.c.emplace_back(cache_at(steps_ - 1, l).c);
   }
   return s;
-}
-
-tensor::ConstMatrixView LstmStack::output(std::size_t t) const {
-  DESMINE_EXPECTS(t < steps(), "output step out of range");
-  return cache_at(t, layers_.size() - 1).h;
 }
 
 LstmStack::BackwardResult LstmStack::backward(
     const std::vector<tensor::ConstMatrixView>& dh_top,
     const LstmState* dfinal) {
-  const std::size_t T = steps();
+  DESMINE_EXPECTS(!decode_, "a decode keeps no state to backpropagate");
+  const std::size_t T = steps_;
   const std::size_t L = layers_.size();
   const std::size_t H = hidden_dim_;
   DESMINE_EXPECTS(dh_top.size() == T, "dh_top must cover every step");

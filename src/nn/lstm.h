@@ -12,7 +12,12 @@
 // to begin() (shared with attention/seq2seq and rewound by the owner between
 // sequences) or let the stack fall back to an internal arena. After warm-up
 // the sequence loop performs no heap allocation. Views returned by step()/
-// output()/backward() are valid until that workspace is next rewound.
+// backward() are valid until that workspace is next rewound.
+//
+// A greedy decode never runs backward, so begin_decode() keeps no backward
+// state: each layer's h/c live in two slots allocated once, step t writing
+// slot t % 2 over the state of step t - 2, and the gates are per-step
+// scratch. Its workspace footprint does not grow with the step count.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +56,19 @@ class LstmStack {
              bool train = false, util::Rng* dropout_rng = nullptr,
              tensor::Workspace* workspace = nullptr);
 
+  /// Start an inference-only sequence that keeps no backward state (see the
+  /// file comment): backward() throws, and a view step() returns is valid
+  /// only until the second step() after it.
+  void begin_decode(std::size_t batch, const LstmState* init,
+                    tensor::Workspace& workspace);
+
   /// Advance one timestep with input (batch x input_dim); returns the
-  /// top-layer hidden output (batch x hidden).
+  /// top-layer hidden output (batch x hidden). The per-step math is the
+  /// same in both modes, so a decode is bit-identical to a cached pass.
   tensor::ConstMatrixView step(tensor::ConstMatrixView x_t);
 
   /// Number of steps taken since begin().
-  std::size_t steps() const { return caches_.size() / layers_.size(); }
+  std::size_t steps() const { return steps_; }
 
   /// Undo the most recent step() for the flagged batch rows: their h/c (all
   /// layers) are restored to the previous step's values, so a frozen row's
@@ -69,9 +81,6 @@ class LstmStack {
 
   /// Current (last-step) state of all layers (owned copies).
   LstmState state() const;
-
-  /// Top-layer hidden output at step t (valid after step()).
-  tensor::ConstMatrixView output(std::size_t t) const;
 
   struct BackwardResult {
     /// Gradient w.r.t. the input of each step (workspace-backed).
@@ -93,11 +102,6 @@ class LstmStack {
 
   void register_params(ParamRegistry& reg);
 
-  std::size_t input_dim() const { return input_dim_; }
-  std::size_t hidden_dim() const { return hidden_dim_; }
-  std::size_t num_layers() const { return layers_.size(); }
-  float dropout() const { return dropout_; }
-
  private:
   struct Layer {
     Param wx;  ///< (layer_input_dim x 4H)
@@ -116,12 +120,13 @@ class LstmStack {
     tensor::MatrixView h;       ///< new hidden state
   };
 
-  /// Cache of layer l at timestep t (row-major in t).
+  /// Cache of layer l at timestep t (row-major in t; a decode's two slots
+  /// alternate by step parity).
   LayerCache& cache_at(std::size_t t, std::size_t l) {
-    return caches_[t * layers_.size() + l];
+    return caches_[(decode_ ? t % 2 : t) * layers_.size() + l];
   }
   const LayerCache& cache_at(std::size_t t, std::size_t l) const {
-    return caches_[t * layers_.size() + l];
+    return caches_[(decode_ ? t % 2 : t) * layers_.size() + l];
   }
 
   void step_layer(std::size_t l, tensor::ConstMatrixView input,
@@ -136,11 +141,13 @@ class LstmStack {
   // Per-sequence scratch (reset by begin()).
   std::size_t batch_ = 0;
   bool train_ = false;
+  bool decode_ = false;  ///< begin_decode(): no backward state kept
+  std::size_t steps_ = 0;
   util::Rng* dropout_rng_ = nullptr;
   tensor::Workspace* ws_ = nullptr;
   tensor::Workspace own_ws_;
   LstmState state0_;
-  std::vector<LayerCache> caches_;  ///< flat [t * L + l]
+  std::vector<LayerCache> caches_;  ///< flat [t * L + l]; 2L in a decode
 };
 
 }  // namespace desmine::nn

@@ -120,14 +120,6 @@ std::string JsonWriter::quote(std::string_view s) {
   return out;
 }
 
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (type != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 namespace {
 
 class JsonParser {

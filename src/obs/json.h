@@ -35,15 +35,10 @@ struct JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object;
   std::vector<JsonValue> array;
 
-  bool is_null() const { return type == Type::kNull; }
   bool is_bool() const { return type == Type::kBool; }
   bool is_number() const { return type == Type::kNumber; }
   bool is_string() const { return type == Type::kString; }
   bool is_object() const { return type == Type::kObject; }
-  bool is_array() const { return type == Type::kArray; }
-
-  /// First member named `key`, or null when absent / not an object.
-  const JsonValue* find(std::string_view key) const;
 };
 
 /// Deepest nesting of objects and arrays parse_json accepts. The deepest

@@ -64,6 +64,7 @@ void BatchScheduler::submit(std::unique_ptr<PendingWindow> window) {
         state.generation = raw->generation;
         state.edge_id = edge_id;
         state.retired = gen_id != current_generation_;
+        state.cache = DecodeCache(config_.decode_cache);
       }
       state.queue.push_back({raw, slot});
       ++queued_items_;
@@ -246,6 +247,8 @@ void BatchScheduler::score_batch(EdgeState& state,
   static obs::Counter& cache_hits =
       obs::metrics().counter("serve.batch.cache_hits");
   static obs::Counter& decoded = obs::metrics().counter("serve.batch.decoded");
+  static obs::Counter& evictions =
+      obs::metrics().counter("serve.batch.cache_evictions");
 
   const obs::ScopedTimer timer("serve.score-batch", score_ms);
   batch_size.record(static_cast<double>(batch.size()));
@@ -263,59 +266,55 @@ void BatchScheduler::score_batch(EdgeState& state,
       break;
   }
 
-  std::map<text::Sentence, text::Sentence>& cache = state.cache;
-  const std::size_t cache_capacity = config_.decode_cache;
+  // Sources and references are scored as ids of the edge's vocabularies.
+  std::shared_ptr<nmt::TranslationModel> model;
+  if (!state.src_vocab) {
+    model = edge.acquire();
+    state.src_vocab = model->src_vocab();
+    state.tgt_vocab = model->tgt_vocab();
+  }
+  DecodeCache& cache = state.cache;
 
-  // Partition into cache hits and sources still to decode. The decode pass
-  // itself dedups identical sources, so `misses` may hold repeats. One map
-  // lookup per item: the hit's translation pointer is kept for the scoring
-  // loop below (map references stay valid across the inserts at the end).
-  std::vector<const text::Sentence*> sources(batch.size());
-  std::vector<const text::Sentence*> candidates(batch.size(), nullptr);
-  std::vector<const text::Sentence*> misses;
+  // Partition into cache hits and sources still to decode. decode_ids()
+  // dedups identical sources, so `misses` may hold repeats.
+  std::vector<std::vector<std::int32_t>> sources(batch.size());
+  std::vector<const std::vector<std::int32_t>*> candidates(batch.size());
+  std::vector<const std::vector<std::int32_t>*> misses;
   std::vector<std::size_t> miss_index;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingWindow& w = *batch[i].window;
-    sources[i] = &w.corpora[edge.src].front();
-    const auto hit = cache_capacity > 0 ? cache.find(*sources[i])
-                                        : cache.end();
-    if (hit != cache.end()) {
+    sources[i] =
+        state.src_vocab->encode(batch[i].window->corpora[edge.src].front());
+    candidates[i] = cache.find(sources[i]);
+    if (candidates[i] != nullptr) {
       cache_hits.inc();
-      candidates[i] = &hit->second;
     } else {
-      misses.push_back(sources[i]);
+      misses.push_back(&sources[i]);
       miss_index.push_back(i);
     }
   }
-  std::vector<text::Sentence> fresh;
+  std::vector<std::vector<std::int32_t>> fresh;
   if (!misses.empty()) {
-    fresh = edge.acquire()->translate_batch(misses);
+    if (model == nullptr) model = edge.acquire();
+    fresh = model->decode_ids(misses);
     decoded.inc(misses.size());
   }
 
   // Score every item. Hits and fresh decodes are interchangeable bit for
-  // bit: greedy decoding is a pure function of the source tokens.
+  // bit: greedy decoding is a pure function of the source ids.
   for (std::size_t m = 0; m < miss_index.size(); ++m) {
     candidates[miss_index[m]] = &fresh[m];
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingWindow& w = *batch[i].window;
-    const text::Sentence& candidate = *candidates[i];
-    const text::Sentence& reference = w.corpora[edge.dst].front();
+    const text::Sentence& reference = batch[i].window->corpora[edge.dst].front();
     batch[i].window->edge_bleu[batch[i].slot] =
-        text::sentence_bleu(candidate, reference, config_.bleu).score;
+        text::sentence_bleu(*candidates[i],
+                            state.tgt_vocab->encode(reference, text::Vocabulary::kNoMatch),
+                            config_.bleu)
+            .score;
   }
 
-  if (cache_capacity > 0) {
-    for (std::size_t m = 0; m < miss_index.size(); ++m) {
-      if (cache.size() >= cache_capacity) {
-        // Epoch eviction: periodic discrete streams repopulate the working
-        // set within a few windows, and clearing keeps the bound simple.
-        cache.clear();
-        obs::metrics().counter("serve.batch.cache_evictions").inc();
-      }
-      cache.emplace(*misses[m], fresh[m]);
-    }
+  for (std::size_t m = 0; m < miss_index.size(); ++m) {
+    if (cache.insert(*misses[m], std::move(fresh[m]))) evictions.inc();
   }
 }
 

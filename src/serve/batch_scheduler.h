@@ -6,13 +6,14 @@
 // (AnomalyDetector) batches one stream's windows per edge. The scheduler
 // batches across sessions: it keeps one FIFO of (window, edge) work items
 // per edge model, and a worker drains up to SchedulerConfig::max_batch
-// items of ONE edge into a single TranslationModel::translate_batch call:
+// items of ONE edge into a single TranslationModel::decode_ids call:
 // duplicate sources decode once, the rest go through
-// Seq2SeqModel::translate_batch's stacked GEMMs, and a
-// per-edge decode cache carries results across batches. All three layers
-// preserve IEEE-754 bit-identity with the sequential path because greedy
-// decoding is deterministic and every kernel is row-independent (see
-// seq2seq.h).
+// Seq2SeqModel::translate_batch's stacked GEMMs, and a per-edge
+// DecodeCache keyed by source ids carries results across batches. All
+// three layers preserve IEEE-754 bit-identity with the sequential path
+// because greedy decoding is deterministic and every kernel is
+// row-independent (see seq2seq.h). Rows are scored by BLEU over ids, which
+// equals BLEU over the decoded words (text/bleu.h).
 //
 // Fault tolerance (DESIGN.md §13):
 //  * Edge states are keyed by (generation id, edge id). A window carries a
@@ -49,11 +50,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "nmt/translation.h"
 #include "obs/trace.h"
+#include "serve/decode_cache.h"
 #include "serve/model_registry.h"
 #include "text/bleu.h"
 
@@ -115,8 +118,8 @@ struct PendingWindow {
 struct SchedulerConfig {
   /// Max sentence-windows one batched decode may stack per edge.
   std::size_t max_batch = 32;
-  /// Per-edge source->translation cache entries (0 disables caching).
-  std::size_t decode_cache = 4096;
+  /// Per-edge decode cache entries (0 disables caching); see DecodeCache.
+  std::size_t decode_cache = 256;
   text::BleuOptions bleu{};
   /// Consecutive failed batches before an edge's breaker opens (0 disables
   /// the circuit breaker: failures still resolve as error results).
@@ -178,10 +181,12 @@ class BatchScheduler {
     bool in_ready = false;
     /// Generation superseded; erase this state once its queue drains.
     bool retired = false;
-    /// Per-edge source->translation memo. Greedy decoding is deterministic,
-    /// so a hit is bit-identical to a fresh decode. Touched only by the
-    /// worker currently holding the busy flag.
-    std::map<text::Sentence, text::Sentence> cache;
+    /// Touched only by the worker currently holding the busy flag.
+    DecodeCache cache;
+    /// Copies of the edge model's vocabularies, taken at the edge's first
+    /// batch (which always decodes): a batch whose sources all hit the cache
+    /// then never acquires, or materializes, the model.
+    std::optional<text::Vocabulary> src_vocab, tgt_vocab;
     Breaker breaker = Breaker::kClosed;
     std::size_t consecutive_failures = 0;  ///< failed batches since a success
     std::size_t skipped_since_open = 0;    ///< quarantined items since open

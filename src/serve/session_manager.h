@@ -64,8 +64,9 @@ struct ServeConfig {
   std::size_t max_batch = 32;
   /// Per-edge source->translation cache entries (0 disables). Periodic
   /// discrete streams repeat sentences heavily; caching turns repeat
-  /// windows into pure BLEU evaluations, bit-identically.
-  std::size_t decode_cache = 4096;
+  /// windows into pure BLEU evaluations, bit-identically. Small, so a busy
+  /// edge fills it within seconds and its hit ratio stops climbing with uptime.
+  std::size_t decode_cache = 256;
   /// Per-session flow control (pending-window budget + block/reject +
   /// consecutive-shed guard).
   SessionLimits limits{};

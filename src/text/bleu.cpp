@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <map>
-#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/error.h"
 
@@ -12,143 +11,97 @@ namespace desmine::text {
 
 namespace {
 
-/// Count n-grams of one order in a sentence. N-grams are keyed by joining
-/// tokens with '\x1f' (a separator that cannot occur in sensor words).
-/// Fallback path for sentence pairs the packed-key fast path cannot encode.
-std::map<std::string, std::size_t> ngram_counts(const Sentence& sentence,
-                                                std::size_t order) {
-  std::map<std::string, std::size_t> counts;
-  if (sentence.size() < order) return counts;
-  for (std::size_t i = 0; i + order <= sentence.size(); ++i) {
-    std::string key = sentence[i];
-    for (std::size_t k = 1; k < order; ++k) {
-      key += '\x1f';
-      key += sentence[i + k];
-    }
-    ++counts[key];
-  }
-  return counts;
-}
+using Ids = std::span<const std::int32_t>;
 
-/// Running clipped-match totals for one candidate/reference pair, shared by
-/// the map fallback and the packed fast path. Both produce the same counts,
-/// so BLEU scores are bit-identical whichever path ran.
-void accumulate_pair_map(const Sentence& cand, const Sentence& ref,
-                         std::size_t max_order, std::size_t* matched,
-                         std::size_t* total) {
-  for (std::size_t order = 1; order <= max_order; ++order) {
-    const auto cand_counts = ngram_counts(cand, order);
-    const auto ref_counts = ngram_counts(ref, order);
-    for (const auto& [gram, count] : cand_counts) {
-      total[order - 1] += count;
-      const auto it = ref_counts.find(gram);
-      if (it != ref_counts.end()) {
-        // Modified precision: clip by the reference count.
-        matched[order - 1] += std::min(count, it->second);
+/// Clipped n-gram matches and candidate n-gram totals, per order, summed
+/// over the sentence pairs of a corpus.
+struct Counts {
+  explicit Counts(std::size_t max_order)
+      : matched(max_order, 0), total(max_order, 0) {}
+  std::vector<std::size_t> matched, total;
+  std::size_t candidate_length = 0, reference_length = 0;
+
+  /// One distinct n-gram of the current order (open addressing).
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t rank = 0, in_cand = 0, in_ref = 0;
+    bool used = false;
+  };
+  std::vector<Slot> table;
+  std::vector<std::size_t> distinct;  ///< used slots, in rank order
+  std::vector<std::uint32_t> rank;    ///< per position, candidate first
+
+  /// Count one pair, order by order. An n-gram's key packs the rank of its
+  /// (n-1)-gram prefix among both sentences' (n-1)-grams over its last id,
+  /// so equal keys mean equal n-grams, at any order and length. Each
+  /// distinct n-gram's candidate count, clipped by its reference count, is
+  /// its match (modified precision).
+  void add(Ids cand, Ids ref) {
+    candidate_length += cand.size();
+    reference_length += ref.size();
+    const std::size_t nc = cand.size();
+    rank.assign(nc + ref.size(), 0);
+    std::size_t bits = 1;
+    while ((std::size_t{1} << bits) < 2 * rank.size()) ++bits;
+    table.assign(std::size_t{1} << bits, Slot{});
+    distinct.clear();
+    for (std::size_t n = 1; n <= matched.size(); ++n) {
+      for (const std::size_t h : distinct) table[h] = Slot{};
+      distinct.clear();
+      const auto count = [&](Ids s, std::size_t offset, bool is_cand) {
+        for (std::size_t i = 0; i + n <= s.size(); ++i) {
+          std::uint32_t& r = rank[offset + i];
+          const std::uint64_t key =
+              std::uint64_t{r} << 32 | static_cast<std::uint32_t>(s[i + n - 1]);
+          std::size_t h = (key * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+          while (table[h].used && table[h].key != key) {
+            h = (h + 1) & (table.size() - 1);
+          }
+          Slot& slot = table[h];
+          if (!slot.used) {
+            slot = {key, static_cast<std::uint32_t>(distinct.size()), 0, 0,
+                    true};
+            distinct.push_back(h);
+          }
+          ++(is_cand ? slot.in_cand : slot.in_ref);
+          r = slot.rank;
+        }
+      };
+      count(cand, 0, true);
+      count(ref, nc, false);
+      for (const std::size_t h : distinct) {
+        total[n - 1] += table[h].in_cand;
+        matched[n - 1] += std::min(table[h].in_cand, table[h].in_ref);
       }
     }
   }
-}
-
-/// Scratch buffers for the packed fast path, reused across the sentences of
-/// a corpus so the steady-state cost is sorting two small vectors per order.
-struct PackScratch {
-  std::vector<const std::string*> dict;  ///< shared token dictionary
-  std::vector<std::uint64_t> cand_ids, ref_ids;
-  std::vector<std::uint64_t> cand_keys, ref_keys;
 };
 
-/// The serve hot path scores one short candidate/reference pair per
-/// (window, edge) work item; the map path above allocates ~8 string-keyed
-/// maps per pair, which dominates the batched scorer once decoding is
-/// vectorized (DESIGN.md §16). This path maps tokens to small ids through a
-/// dictionary shared by both sentences, packs each n-gram into one uint64
-/// (16 bits per token, orders 1..4), and counts via sort + linear merge —
-/// no per-n-gram allocations. Returns false when the pair cannot be packed
-/// (order > 4 or very long sentences); the caller then uses the map path.
-bool accumulate_pair_packed(const Sentence& cand, const Sentence& ref,
-                            std::size_t max_order, std::size_t* matched,
-                            std::size_t* total, PackScratch& scratch) {
-  // 16-bit ids and 4 ids per key; the length cap also bounds the O(n^2)
-  // linear-scan dictionary build to small n.
-  constexpr std::size_t kMaxTokens = 512;
-  if (max_order > 4 || cand.size() + ref.size() > kMaxTokens) return false;
+/// Each distinct token's id, in first-seen order; views the scored strings.
+using TokenIds = std::unordered_map<std::string_view, std::int32_t>;
 
-  scratch.dict.clear();
-  const auto id_of = [&scratch](const std::string& token) -> std::uint64_t {
-    for (std::size_t i = 0; i < scratch.dict.size(); ++i) {
-      if (*scratch.dict[i] == token) return i;
-    }
-    scratch.dict.push_back(&token);
-    return scratch.dict.size() - 1;
-  };
-  scratch.cand_ids.clear();
-  scratch.ref_ids.clear();
-  for (const std::string& t : cand) scratch.cand_ids.push_back(id_of(t));
-  for (const std::string& t : ref) scratch.ref_ids.push_back(id_of(t));
-
-  const auto collect_keys = [](const std::vector<std::uint64_t>& ids,
-                               std::size_t order,
-                               std::vector<std::uint64_t>& keys) {
-    keys.clear();
-    if (ids.size() < order) return;
-    for (std::size_t i = 0; i + order <= ids.size(); ++i) {
-      std::uint64_t key = 1;  // leading 1 separates orders' key spaces
-      for (std::size_t k = 0; k < order; ++k) key = (key << 16) | ids[i + k];
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-  };
-
-  for (std::size_t order = 1; order <= max_order; ++order) {
-    collect_keys(scratch.cand_ids, order, scratch.cand_keys);
-    collect_keys(scratch.ref_ids, order, scratch.ref_keys);
-    total[order - 1] += scratch.cand_keys.size();
-    // Merge the two sorted runs, clipping each candidate n-gram's count by
-    // its reference count — exactly the map path's modified precision.
-    std::size_t c = 0, r = 0;
-    while (c < scratch.cand_keys.size() && r < scratch.ref_keys.size()) {
-      const std::uint64_t key = scratch.cand_keys[c];
-      if (scratch.ref_keys[r] < key) {
-        ++r;
-        continue;
-      }
-      std::size_t c_run = 0;
-      while (c < scratch.cand_keys.size() && scratch.cand_keys[c] == key) {
-        ++c;
-        ++c_run;
-      }
-      if (scratch.ref_keys[r] == key) {
-        std::size_t r_run = 0;
-        while (r < scratch.ref_keys.size() && scratch.ref_keys[r] == key) {
-          ++r;
-          ++r_run;
-        }
-        matched[order - 1] += std::min(c_run, r_run);
-      }
-    }
-    // Candidate keys with no reference run left only add to `total`, which
-    // the collect step above already did.
+Ids to_ids(const Sentence& sentence, TokenIds& ids,
+           std::vector<std::int32_t>& out) {
+  out.clear();
+  for (const std::string& token : sentence) {
+    out.push_back(
+        ids.try_emplace(token, static_cast<std::int32_t>(ids.size())).first->second);
   }
-  return true;
+  return out;
 }
 
-/// Shared scoring tail: turn accumulated clipped counts + lengths into the
-/// smoothed geometric-mean BLEU. Identical arithmetic for every entry point.
-BleuBreakdown finalize(const std::vector<std::size_t>& matched,
-                       const std::vector<std::size_t>& total,
-                       std::size_t candidate_length,
-                       std::size_t reference_length,
-                       const BleuOptions& options) {
+/// Turn the summed counts into the smoothed geometric-mean BLEU. Identical
+/// arithmetic for every entry point.
+BleuBreakdown finalize(const Counts& counts, const BleuOptions& options) {
   BleuBreakdown out;
   out.precisions.assign(options.max_order, 0.0);
-  out.candidate_length = candidate_length;
-  out.reference_length = reference_length;
+  out.candidate_length = counts.candidate_length;
+  out.reference_length = counts.reference_length;
 
   double log_precision_sum = 0.0;
   for (std::size_t order = 0; order < options.max_order; ++order) {
-    double num = static_cast<double>(matched[order]);
-    double den = static_cast<double>(total[order]);
+    double num = static_cast<double>(counts.matched[order]);
+    double den = static_cast<double>(counts.total[order]);
     if (options.smooth && (num == 0.0 || den == 0.0)) {
       num += 1.0;
       den += 1.0;
@@ -200,38 +153,30 @@ BleuBreakdown corpus_bleu(const Corpus& candidates, const Corpus& references,
     return out;
   }
 
-  std::vector<std::size_t> matched(options.max_order, 0);
-  std::vector<std::size_t> total(options.max_order, 0);
-  std::size_t candidate_length = 0, reference_length = 0;
-
-  PackScratch scratch;
+  Counts counts(options.max_order);
+  TokenIds ids;
+  std::vector<std::int32_t> cand, ref;
   for (std::size_t s = 0; s < candidates.size(); ++s) {
-    const Sentence& cand = candidates[s];
-    const Sentence& ref = references[s];
-    candidate_length += cand.size();
-    reference_length += ref.size();
-    if (!accumulate_pair_packed(cand, ref, options.max_order, matched.data(),
-                                total.data(), scratch)) {
-      accumulate_pair_map(cand, ref, options.max_order, matched.data(),
-                          total.data());
-    }
+    counts.add(to_ids(candidates[s], ids, cand), to_ids(references[s], ids, ref));
   }
-  return finalize(matched, total, candidate_length, reference_length, options);
+  return finalize(counts, options);
 }
 
 BleuBreakdown sentence_bleu(const Sentence& candidate,
                             const Sentence& reference,
                             const BleuOptions& options) {
+  TokenIds ids;
+  std::vector<std::int32_t> cand, ref;
+  return sentence_bleu(to_ids(candidate, ids, cand), to_ids(reference, ids, ref),
+                       options);
+}
+
+BleuBreakdown sentence_bleu(Ids candidate, Ids reference,
+                            const BleuOptions& options) {
   DESMINE_EXPECTS(options.max_order >= 1, "max_order >= 1");
-  std::vector<std::size_t> matched(options.max_order, 0);
-  std::vector<std::size_t> total(options.max_order, 0);
-  PackScratch scratch;
-  if (!accumulate_pair_packed(candidate, reference, options.max_order,
-                              matched.data(), total.data(), scratch)) {
-    accumulate_pair_map(candidate, reference, options.max_order,
-                        matched.data(), total.data());
-  }
-  return finalize(matched, total, candidate.size(), reference.size(), options);
+  Counts counts(options.max_order);
+  counts.add(candidate, reference);
+  return finalize(counts, options);
 }
 
 }  // namespace desmine::text

@@ -6,9 +6,16 @@
 // to max_order, times a brevity penalty, with optional +1 smoothing
 // (Lin & Och) so short sensor sentences with a missing n-gram order do not
 // collapse the score to zero.
+//
+// Every entry point counts n-grams over token ids: the id overload scores a
+// decode's ids directly (serving), and the string overloads first give each
+// distinct token one id. Two tokens match exactly when their ids are equal,
+// so the counts, and the scores, are those of comparing the strings.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "text/vocabulary.h"
@@ -36,6 +43,13 @@ BleuBreakdown corpus_bleu(const Corpus& candidates, const Corpus& references,
 /// Sentence-level BLEU (a corpus of one).
 BleuBreakdown sentence_bleu(const Sentence& candidate,
                             const Sentence& reference,
+                            const BleuOptions& options = {});
+
+/// Sentence-level BLEU over token ids, for any order and length. A decode's
+/// ids less markup against its reference encoded with Vocabulary::kNoMatch
+/// score as the decoded words against the reference words.
+BleuBreakdown sentence_bleu(std::span<const std::int32_t> candidate,
+                            std::span<const std::int32_t> reference,
                             const BleuOptions& options = {});
 
 }  // namespace desmine::text

@@ -41,10 +41,14 @@ bool Vocabulary::contains(const std::string& token) const {
   return index_.count(token) > 0;
 }
 
-std::vector<std::int32_t> Vocabulary::encode(const Sentence& sentence) const {
+std::vector<std::int32_t> Vocabulary::encode(const Sentence& sentence,
+                                             std::int32_t unknown) const {
   std::vector<std::int32_t> out;
   out.reserve(sentence.size());
-  for (const std::string& word : sentence) out.push_back(id(word));
+  for (const std::string& word : sentence) {
+    const auto it = index_.find(word);
+    out.push_back(it == index_.end() ? unknown : it->second);
+  }
   return out;
 }
 
@@ -52,8 +56,7 @@ Sentence Vocabulary::decode(const std::vector<std::int32_t>& ids) const {
   Sentence out;
   out.reserve(ids.size());
   for (std::int32_t id : ids) {
-    if (id == kPad || id == kBos || id == kEos) continue;
-    out.push_back(token(id));
+    if (!is_markup(id)) out.push_back(token(id));
   }
   return out;
 }

@@ -21,6 +21,17 @@ class Vocabulary {
   static constexpr std::int32_t kUnk = 1;
   static constexpr std::int32_t kBos = 2;
   static constexpr std::int32_t kEos = 3;
+  /// The id to encode a BLEU reference's unknown words with: no model
+  /// outputs it, so such a word matches no candidate token, as its string
+  /// matches no decoded word. Against a decode's ids less markup, the
+  /// reference then scores exactly as its words against decode()'s words.
+  static constexpr std::int32_t kNoMatch = -1;
+
+  /// True for <pad>, <s> and </s>, the ids decode() skips (<unk> is kept:
+  /// it stands for an unseen state).
+  static constexpr bool is_markup(std::int32_t id) {
+    return id == kPad || id == kBos || id == kEos;
+  }
 
   Vocabulary();
 
@@ -39,8 +50,9 @@ class Vocabulary {
   /// Total entries including the four specials.
   std::size_t size() const { return tokens_.size(); }
 
-  /// Encode a sentence to ids (unknowns -> kUnk).
-  std::vector<std::int32_t> encode(const Sentence& sentence) const;
+  /// Encode a sentence to ids; an unknown word becomes `unknown`.
+  std::vector<std::int32_t> encode(const Sentence& sentence,
+                                   std::int32_t unknown = kUnk) const;
 
   /// Decode ids to tokens, skipping pad/bos/eos.
   Sentence decode(const std::vector<std::int32_t>& ids) const;

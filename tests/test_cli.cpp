@@ -28,6 +28,8 @@
 #include <tuple>
 #include <vector>
 
+#include "io/config_flags.h"
+
 namespace {
 
 struct TempFile {
@@ -122,6 +124,49 @@ TEST(CliExitCodes, NonNumericValueIsUsageError) {
   EXPECT_EQ(run_cli("generate --out " + csv.path + " --metrics-out " +
                     csv.path + ".json --metrics-interval-s 1e300"),
             2);
+}
+
+TEST(CliExitCodes, MetricsIntervalOutsideItsRangeIsUsageError) {
+  const TempFile csv("interval.csv");
+  const TempFile metrics("interval_metrics.json");
+  const std::string run =
+      "generate --out " + csv.path + " --days 1 --minutes 10 --metrics-out " +
+      metrics.path + " --metrics-interval-s ";
+  // A value <= 0 must not quietly switch periodic flushing off.
+  for (const char* bad : {"0", "-5", "86400.5"}) {
+    EXPECT_EQ(run_cli(run + bad), 2) << bad;
+  }
+  EXPECT_EQ(run_cli(run + "86400"), 0);
+}
+
+TEST(CliUsage, EveryKnobFlagIsListedWithItsTableDefault) {
+  const TempFile err("usage.txt");
+  for (const auto& [tool, sections] :
+       std::vector<std::pair<std::string, std::vector<std::string_view>>>{
+           {DESMINE_CLI_PATH, {"window", "miner", "detector", "health", "tensor"}},
+           {DESMINE_SERVE_PATH, {"detector", "health", "serve", "tensor"}}}) {
+    EXPECT_EQ(run_shell(tool + " --no-such-option 2>" + err.path), 2);
+    const std::string usage = slurp(err.path);
+    std::size_t listed = 0;
+    for (const std::string_view section : sections) {
+      for (const auto& f : desmine::io::knob_flags({section})) {
+        const std::string line = "\n  --" + f.name + " " + f.default_value + " ";
+        const std::size_t at = usage.find(line);
+        EXPECT_NE(at, std::string::npos) << tool << ": " << line;
+        if (at != std::string::npos) {
+          EXPECT_EQ(usage.substr(usage.find_first_not_of(' ', at + line.size()),
+                                 f.key.size()),
+                    f.key);
+        }
+        ++listed;
+      }
+    }
+    EXPECT_GT(listed, 10u);
+  }
+  // Spot checks against the RunConfig defaults.
+  const std::string serve_usage = slurp(err.path);
+  EXPECT_NE(serve_usage.find("--max-batch 32 "), std::string::npos);
+  EXPECT_NE(serve_usage.find("--decode-cache 256 "), std::string::npos);
 }
 
 TEST(CliExitCodes, OutOfRangeFlagIsUsageError) {

@@ -2,6 +2,7 @@
 // translation tasks, determinism, and the high-level TranslationModel API.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,26 @@ void make_substitution_corpus(std::size_t sentences, std::size_t length,
     src.push_back(s);
     tgt.push_back(t);
   }
+}
+
+/// `count` sources of ids 4..9 with ragged lengths 1..12.
+std::vector<std::vector<std::int32_t>> ragged_sources(std::size_t count,
+                                                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::int32_t>> out(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    for (std::size_t i = 0; i < 1 + (k * 5 + seed) % 12; ++i) {
+      out[k].push_back(static_cast<std::int32_t>(4 + rng.index(6)));
+    }
+  }
+  return out;
+}
+
+std::vector<const std::vector<std::int32_t>*> pointers(
+    const std::vector<std::vector<std::int32_t>>& v) {
+  std::vector<const std::vector<std::int32_t>*> out;
+  for (const auto& x : v) out.push_back(&x);
+  return out;
 }
 
 }  // namespace
@@ -291,4 +312,71 @@ TEST(Divergence, HealthyTrainingNeverTrips) {
   cfg.trainer.lr = 0.01f;
   // Default divergence_factor stays armed; a normal run must not trip it.
   EXPECT_NO_THROW(dm::train_translation_model(src, tgt, cfg, 21));
+}
+
+// translate_batch() runs the decode that keeps no backward state;
+// translate() steps through the training path's cached forward pass. Each
+// row of the batch must come out bit-identical to its sequential decode.
+TEST(DecodeParity, BatchIsBitIdenticalToSequentialAtOneSevenAndThirtyTwoRows) {
+  for (const auto score : {desmine::nn::AttentionScore::kGeneral,
+                           desmine::nn::AttentionScore::kDot}) {
+    dm::Seq2SeqConfig cfg = tiny_config();
+    cfg.num_layers = 2;  // the decode's per-layer h/c slots
+    cfg.attention = score;
+    dm::Seq2SeqModel model(10, 10, cfg, Rng(21));
+    // A few training steps so the decodes are neither empty nor all capped.
+    std::vector<dm::EncodedPair> pairs;
+    for (const auto& src : ragged_sources(16, 5)) {
+      pairs.push_back({src, std::vector<std::int32_t>(src.rbegin(), src.rend())});
+    }
+    dm::TrainerConfig tc;
+    tc.steps = 60;
+    tc.batch_size = 4;
+    dm::train(model, pairs, tc, Rng(22));
+
+    std::size_t nonempty = 0;
+    for (const std::size_t rows : {1u, 7u, 32u}) {
+      const auto sources = ragged_sources(rows, 100 + rows);
+      const auto batch = model.translate_batch(pointers(sources));
+      ASSERT_EQ(batch.size(), rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        EXPECT_EQ(batch[i], model.translate(sources[i])) << rows << " rows, row " << i;
+        nonempty += !batch[i].empty();
+      }
+    }
+    EXPECT_GT(nonempty, 0u);
+  }
+}
+
+// The decode's arena holds the encoder outputs, their attention transform,
+// each layer's h/c and one step's scratch; the cached pass of translate()
+// keeps every step's gates and attention state as well. Dimensions are
+// multiples of the arena's 16-float alignment, so 32 times the cached
+// pass's one-row peak is its 32-row peak.
+TEST(DecodeParity, ThirtyTwoRowWorkspaceIsUnderAQuarterAndCapFree) {
+  dm::Seq2SeqConfig cfg = tiny_config();
+  cfg.num_layers = 2;
+  const std::size_t vocab = 32;
+  std::vector<std::vector<std::int32_t>> sources(32);
+  Rng rng(3);
+  for (auto& s : sources) {
+    for (std::size_t i = 0; i < 16; ++i) {
+      s.push_back(static_cast<std::int32_t>(4 + rng.index(vocab - 4)));
+    }
+  }
+  const auto peak = [&](std::size_t cap, bool batch) {
+    cfg.max_decode_length = cap;
+    dm::Seq2SeqModel model(vocab, vocab, cfg, Rng(9));  // same weights each time
+    if (batch) {
+      model.translate_batch(pointers(sources));
+    } else {
+      for (const auto& s : sources) model.translate(s);
+    }
+    return model.workspace().stats().bytes_peak;
+  };
+  const std::size_t cached_short = peak(8, false), cached_long = peak(64, false);
+  const std::size_t batch_short = peak(8, true), batch_long = peak(64, true);
+  EXPECT_GT(cached_long, cached_short);  // the untrained rows run past 8 steps
+  EXPECT_EQ(batch_long, batch_short);
+  EXPECT_LT(4 * batch_long, 32 * cached_long);
 }

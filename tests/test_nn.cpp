@@ -276,7 +276,7 @@ TEST(Attention, OutputShapeAndAlignmentSimplex) {
     e.init_uniform(rng, 1.0f);
     enc.push_back(e);
   }
-  attn.begin(&enc, 2);
+  attn.begin({enc.begin(), enc.end()}, 2);
   const auto out = attn.step(dt::Matrix(2, 4, 0.3f));
   EXPECT_EQ(out.rows(), 2u);
   EXPECT_EQ(out.cols(), 4u);
@@ -295,7 +295,7 @@ TEST(Attention, BackwardStepOrderEnforced) {
   Rng rng(5);
   dn::LuongAttention attn("a", 2, rng);
   std::vector<dt::Matrix> enc = {dt::Matrix(1, 2, 0.1f)};
-  attn.begin(&enc, 1);
+  attn.begin({enc.begin(), enc.end()}, 1);
   attn.step(dt::Matrix(1, 2, 0.2f));
   EXPECT_NO_THROW(attn.backward_step(dt::Matrix(1, 2, 1.0f)));
   EXPECT_THROW(attn.backward_step(dt::Matrix(1, 2, 1.0f)),
@@ -319,7 +319,7 @@ TEST(Attention, AttendsToMatchingPosition) {
       dt::Matrix::from_rows({{2.0f, 2.0f, 2.0f}}),
       dt::Matrix::from_rows({{0.0f, 0.0f, 0.0f}}),
   };
-  attn.begin(&enc, 1);
+  attn.begin({enc.begin(), enc.end()}, 1);
   attn.step(dt::Matrix::from_rows({{2.0f, 2.0f, 2.0f}}));
   const auto& align = attn.alignment(0);
   EXPECT_GT(align(0, 1), align(0, 0));

@@ -18,6 +18,8 @@
 #include "core/online.h"
 #include "io/config_json.h"
 #include "nmt/translation.h"
+#include "obs/metrics.h"
+#include "serve/decode_cache.h"
 #include "serve/session_manager.h"
 #include "serve/shadow_scorer.h"
 #include "text/bleu.h"
@@ -250,6 +252,81 @@ TEST(SessionManager, BatchedServeBitIdenticalToSequentialReplay) {
     for (std::size_t w = 0; w < expected.size(); ++w) {
       EXPECT_EQ(bits(served[s][w]), bits(expected[w]))
           << "session " << s << " window " << w;
+    }
+  }
+}
+
+TEST(DecodeCache, StaysWithinCapacityAndEvictsOneEntryAtATime) {
+  const auto ids = [](std::int32_t k) {
+    return std::vector<std::int32_t>{k, k + 1, k + 2};
+  };
+  ds::DecodeCache cache(4);
+  for (std::int32_t k = 0; k < 4; ++k) {
+    EXPECT_FALSE(cache.insert(ids(k), {k}));
+  }
+  EXPECT_FALSE(cache.insert(ids(2), {99}));  // present: kept as it was
+  EXPECT_EQ(*cache.find(ids(2)), std::vector<std::int32_t>{2});
+  ASSERT_NE(cache.find(ids(0)), nullptr);  // a hit earns a second chance
+  // Full: the hand passes 0 (marked), stops at 1 and replaces only it.
+  EXPECT_TRUE(cache.insert(ids(4), {4}));
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.find(ids(1)), nullptr);
+  for (const std::int32_t k : {0, 3, 4}) {
+    ASSERT_NE(cache.find(ids(k)), nullptr) << k;
+    EXPECT_EQ(*cache.find(ids(k)), std::vector<std::int32_t>{k});
+  }
+  for (std::int32_t k = 5; k < 200; ++k) {
+    cache.insert(ids(k), {k});
+    EXPECT_EQ(cache.size(), 4u);
+  }
+  EXPECT_NE(cache.find(ids(199)), nullptr);  // the newest entry survives
+
+  ds::DecodeCache off(0);
+  EXPECT_FALSE(off.insert(ids(0), {0}));
+  EXPECT_EQ(off.find(ids(0)), nullptr);
+  EXPECT_EQ(off.size(), 0u);
+}
+
+TEST(SessionManager, DecodeCacheHitsAndEvictionsKeepScoresBitIdentical) {
+  auto& f = fixture();
+  const auto series = make_series(240, 33);
+  const std::vector<double> expected = replay_scores(f, series);
+  auto& metrics = desmine::obs::metrics();
+  for (const std::size_t entries : {0u, 2u, 4096u}) {
+    ds::ServeConfig scfg = f.serve_config();
+    scfg.decode_cache = entries;
+    const std::uint64_t hits0 = metrics.counter("serve.batch.cache_hits").value();
+    const std::uint64_t evicted0 =
+        metrics.counter("serve.batch.cache_evictions").value();
+    {
+      ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
+                                 f.cfg.window, scfg);
+      const std::uint64_t id = manager.open();
+      for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+        ASSERT_EQ(manager.ingest(id, tick_states(series, t)),
+                  ds::IngestStatus::kAccepted);
+      }
+      manager.drain();
+      std::vector<double> served;
+      while (const auto r = manager.poll(id)) served.push_back(r->anomaly_score);
+      ASSERT_EQ(served.size(), expected.size()) << entries;
+      for (std::size_t w = 0; w < expected.size(); ++w) {
+        EXPECT_EQ(bits(served[w]), bits(expected[w])) << entries << " " << w;
+      }
+    }
+    const std::uint64_t hits =
+        metrics.counter("serve.batch.cache_hits").value() - hits0;
+    const std::uint64_t evicted =
+        metrics.counter("serve.batch.cache_evictions").value() - evicted0;
+    if (entries == 0) {
+      EXPECT_EQ(hits, 0u);
+    } else {
+      EXPECT_GT(hits, 0u) << entries;  // hits scored like fresh decodes
+    }
+    if (entries == 2) {
+      EXPECT_GT(evicted, 0u);  // one entry at a time
+    } else {
+      EXPECT_EQ(evicted, 0u);
     }
   }
 }

@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "text/bleu.h"
 #include "text/vocabulary.h"
@@ -9,6 +14,39 @@
 #include "util/rng.h"
 
 namespace dx = desmine::text;
+
+namespace {
+
+std::uint64_t bits(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// Clipped matches and candidate totals of one order, counted the plain
+/// way: every n-gram as a vector of strings in a std::map.
+std::pair<std::size_t, std::size_t> naive_counts(const dx::Sentence& cand,
+                                                 const dx::Sentence& ref,
+                                                 std::size_t n) {
+  const auto grams = [n](const dx::Sentence& s) {
+    std::map<dx::Sentence, std::size_t> out;
+    for (std::size_t i = 0; i + n <= s.size(); ++i) {
+      ++out[dx::Sentence(s.begin() + i, s.begin() + i + n)];
+    }
+    return out;
+  };
+  const auto c = grams(cand), r = grams(ref);
+  std::size_t matched = 0, total = 0;
+  for (const auto& [gram, count] : c) {
+    total += count;
+    if (const auto it = r.find(gram); it != r.end()) {
+      matched += std::min(count, it->second);
+    }
+  }
+  return {matched, total};
+}
+
+}  // namespace
 
 // ----------------------------------------------------------- vocabulary ----
 
@@ -159,4 +197,75 @@ TEST(Bleu, ShortSentencesBelowMaxOrderStillScore) {
   const auto b = dx::sentence_bleu(s, s);
   EXPECT_GT(b.score, 50.0);
   EXPECT_LE(b.score, 100.0);
+}
+
+TEST(Bleu, OutOfVocabularyReferenceWordNeverMatches) {
+  dx::Vocabulary v = dx::Vocabulary::build({{"a", "b"}});
+  const dx::Sentence ref = {"a", "zz", "qq", "b"};
+  const std::vector<std::int32_t> ref_ids = v.encode(ref, dx::Vocabulary::kNoMatch);
+  EXPECT_EQ(ref_ids, (std::vector<std::int32_t>{v.id("a"), dx::Vocabulary::kNoMatch,
+                                                dx::Vocabulary::kNoMatch, v.id("b")}));
+  // The model emitted <unk> where the reference holds unseen words: as
+  // strings "<unk>" equals neither, and as ids kUnk equals neither.
+  const std::vector<std::int32_t> cand = {v.id("a"), dx::Vocabulary::kUnk,
+                                          dx::Vocabulary::kUnk, v.id("b")};
+  dx::BleuOptions opts;
+  opts.max_order = 2;
+  opts.smooth = false;
+  const auto by_ids = dx::sentence_bleu(cand, ref_ids, opts);
+  EXPECT_DOUBLE_EQ(by_ids.precisions[0], 0.5);  // a and b only
+  EXPECT_DOUBLE_EQ(by_ids.precisions[1], 0.0);
+  const auto by_words = dx::sentence_bleu(v.decode(cand), ref, opts);
+  EXPECT_EQ(bits(by_ids.precisions[0]), bits(by_words.precisions[0]));
+  EXPECT_EQ(bits(by_ids.score), bits(by_words.score));
+  // Plain encode() maps both unseen words to <unk> and would score the
+  // emitted <unk>s as matches.
+  EXPECT_DOUBLE_EQ(dx::sentence_bleu(cand, v.encode(ref), opts).score, 100.0);
+}
+
+TEST(Bleu, IdAndStringPathsCountLikeTheNaiveMapAtAnyOrderAndLength) {
+  desmine::util::Rng rng(2024);
+  const std::vector<std::string> words = {"w0", "w1", "w2", "w3", "w4", "w5"};
+  const dx::Vocabulary vocab = dx::Vocabulary::build({{"w0", "w1", "w2", "w3"}});
+  const auto random_sentence = [&](std::size_t length) {
+    dx::Sentence s;
+    // Few distinct words, so long n-grams repeat and clip.
+    for (std::size_t i = 0; i < length; ++i) s.push_back(words[rng.index(i % 3 ? 2 : 6)]);
+    return s;
+  };
+  // Lengths past 512 tokens and orders past 4 included.
+  for (const std::size_t length : {0u, 1u, 3u, 20u, 300u, 700u}) {
+    for (const std::size_t order : {1u, 4u, 5u, 7u}) {
+      for (const bool smooth : {true, false}) {
+        const dx::Sentence ref = random_sentence(length);
+        dx::Sentence cand = random_sentence(length + rng.index(3));
+        // Candidates are decodes: in-vocabulary words or <unk>.
+        for (std::string& w : cand) {
+          if (!vocab.contains(w)) w = "<unk>";
+        }
+        dx::BleuOptions opts;
+        opts.max_order = order;
+        opts.smooth = smooth;
+        const auto by_words = dx::sentence_bleu(cand, ref, opts);
+        const auto by_ids =
+            dx::sentence_bleu(vocab.encode(cand), vocab.encode(ref, dx::Vocabulary::kNoMatch), opts);
+        const auto corpus = dx::corpus_bleu({cand, ref}, {ref, cand}, opts);
+        EXPECT_EQ(bits(by_ids.score), bits(by_words.score)) << length << "/" << order;
+        for (std::size_t n = 1; n <= order; ++n) {
+          const auto [matched, total] = naive_counts(cand, ref, n);
+          const auto [m2, t2] = naive_counts(ref, cand, n);
+          double num = static_cast<double>(matched), den = static_cast<double>(total);
+          if (smooth && (num == 0.0 || den == 0.0)) num += 1.0, den += 1.0;
+          if (by_words.score == 0.0 && !smooth) break;  // precisions stop at a zero order
+          EXPECT_EQ(bits(by_words.precisions[n - 1]), bits(den == 0.0 ? 0.0 : num / den))
+              << length << "/" << order << "/" << n;
+          EXPECT_EQ(bits(by_ids.precisions[n - 1]), bits(by_words.precisions[n - 1]));
+          double cnum = static_cast<double>(matched + m2), cden = static_cast<double>(total + t2);
+          if (smooth && (cnum == 0.0 || cden == 0.0)) cnum += 1.0, cden += 1.0;
+          if (corpus.score == 0.0 && !smooth) break;
+          EXPECT_EQ(bits(corpus.precisions[n - 1]), bits(cden == 0.0 ? 0.0 : cnum / cden));
+        }
+      }
+    }
+  }
 }

@@ -9,6 +9,7 @@
 // knob table (with_knob_flags) and are read by io::load_run_config.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -36,6 +37,19 @@ inline OptionSpec with_knob_flags(
     (f.is_switch ? spec.flags : spec.values).insert(f.name);
   }
   return spec;
+}
+
+/// One usage line per knob flag under `sections`: the flag, its default
+/// as --dump-config prints it, and the config key it sets.
+inline std::string knob_usage(
+    std::initializer_list<std::string_view> sections) {
+  std::string out;
+  for (const io::KnobFlag& f : io::knob_flags(sections)) {
+    std::string line = "  --" + f.name + " " + f.default_value;
+    line.resize(std::max<std::size_t>(line.size() + 2, 34), ' ');
+    out += line + f.key + "\n";
+  }
+  return out;
 }
 
 /// Longest period, in seconds, a tool waits between repeated actions

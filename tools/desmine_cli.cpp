@@ -72,6 +72,9 @@ namespace {
 /// tool-local ones plus the knob flags of the sections train and detect
 /// use. generate's --seed and inspect's --lo/--hi reuse knob flag names but
 /// are read locally.
+const std::initializer_list<std::string_view> kKnobSections = {
+    "window", "miner", "detector", "health", "tensor"};
+
 const tools::OptionSpec& cli_options() {
   static const tools::OptionSpec spec = tools::with_knob_flags(
       {{"anomaly-day", "components", "config", "days", "dev", "log-json",
@@ -79,7 +82,7 @@ const tools::OptionSpec& cli_options() {
         "minutes", "model", "on-bad-row", "out", "quarantine", "test",
         "trace-out", "train"},
        {"degraded", "dump-config"}},
-      {"window", "miner", "detector", "health", "tensor"});
+      kKnobSections);
   return spec;
 }
 
@@ -318,33 +321,26 @@ void usage() {
   std::cerr
       << "usage: desmine_cli <generate|train|detect|inspect> [--option value]...\n"
          "  generate --out plant.csv [--days N --minutes M --seed S --anomaly-day D]\n"
-         "  train    --train a.csv --dev b.csv --out model.bin\n"
-         "           [--word 10 --word-stride 1 --sentence 20 --sentence-stride 20\n"
-         "            --hidden 64 --embedding 64 --layers 2 --dropout 0.2\n"
-         "            --steps 1000 --batch 16 --lr 0.01 --seed 42 --threads 0]\n"
-         "           [--checkpoint FILE [--resume] --pair-timeout-s 0\n"
-         "            --max-retries 2]\n"
-         "  detect   --model model.bin --test c.csv [--lo 80 --hi 90 --tolerance 0]\n"
-         "           [--degraded --min-coverage 0.5 --on-bad-row throw|skip|quarantine\n"
-         "            --quarantine FILE --max-bad-rows 1000 --health-drop-after 3\n"
-         "            --health-stale-after 0 --health-unk-rate 0.5\n"
-         "            --health-unk-window 64 --health-readmit-after 8]\n"
+         "  train    --train a.csv --dev b.csv --out model.bin [knob flags]\n"
+         "  detect   --model model.bin --test c.csv [knob flags]\n"
+         "           [--degraded --on-bad-row throw|skip|quarantine\n"
+         "            --quarantine FILE --max-bad-rows 1000]\n"
          "  inspect  --model model.bin [--lo 80 --hi 90]\n"
+         "knob flags (train/detect): flag, default, config key\n"
+      << tools::knob_usage(kKnobSections)
+      << "  (--kernels auto: DESMINE_KERNELS env, else avx2 when this CPU\n"
+         "   has it, else scalar)\n"
          "config files (train/detect):\n"
          "  --config FILE        JSON config as the option baseline (explicit\n"
          "                       flags still win); see --dump-config\n"
          "  --dump-config        print the effective config as JSON and exit\n"
          "                       (also: desmine_cli --dump-config for defaults)\n"
-         "compute kernels (train/detect; config key tensor.kernels):\n"
-         "  --kernels auto|scalar|avx2   backend for the dense kernels\n"
-         "                       (default auto: DESMINE_KERNELS env, else avx2\n"
-         "                       when this CPU has it, else scalar)\n"
          "observability (any subcommand; --key=value also accepted):\n"
          "  --log-level trace|debug|info|warn|error|off   (default info)\n"
          "  --log-json FILE      JSON-lines log in addition to stderr\n"
          "  --metrics-out FILE   dump counters/gauges/histograms JSON on exit\n"
          "  --metrics-interval-s N  also re-write --metrics-out atomically\n"
-         "                       every N seconds during the run\n"
+         "                       every N seconds during the run, N in (0, 86400]\n"
          "  --trace-out FILE     dump chrome://tracing span JSON on exit\n"
          "exit codes: 0 ok | 1 runtime error | 2 usage error |\n"
          "            3 trained with permanently failed pairs |\n"
@@ -457,15 +453,14 @@ int main(int argc, char** argv) {
     // --metrics-interval-s N: flush --metrics-out atomically every N
     // seconds while the command runs (long mining runs become observable).
     std::unique_ptr<PeriodicMetricsWriter> metrics_writer;
-    const double metrics_interval = args->number("metrics-interval-s", 0.0);
     const std::string metrics_out = args->get_or("metrics-out", "");
-    if (metrics_interval > 0.0) {
+    if (args->values().count("metrics-interval-s") != 0) {
       if (metrics_out.empty()) {
         throw PreconditionError(
             "--metrics-interval-s requires --metrics-out");
       }
       metrics_writer = std::make_unique<PeriodicMetricsWriter>(
-          metrics_out, metrics_interval);
+          metrics_out, args->number("metrics-interval-s", 0.0));
     }
 
     int rc = 2;

@@ -88,11 +88,14 @@ namespace {
 
 /// desmine_serve's options: the tool-local ones plus the knob flags of
 /// the sections serving uses.
+const std::initializer_list<std::string_view> kKnobSections = {
+    "detector", "health", "serve", "tensor"};
+
 const tools::OptionSpec& serve_options() {
   static const tools::OptionSpec spec = tools::with_knob_flags(
       {{"config", "listen", "log-json", "log-level", "metrics-out", "model"},
        {"dump-config", "force-heap-fallback"}},
-      {"detector", "health", "serve", "tensor"});
+      kKnobSections);
   return spec;
 }
 
@@ -613,28 +616,15 @@ void usage() {
          "  --config FILE        JSON config baseline (desmine_cli\n"
          "                       --dump-config for the schema)\n"
          "  --dump-config        print the effective config as JSON and exit\n"
-         "  --lo 80 --hi 90 --tolerance 0 --min-coverage 0.5\n"
-         "  --workers 0 --max-batch 32 --decode-cache 4096\n"
-         "  --max-pending 64 --reject-when-full\n"
-         "  --max-global-pending 0   cap in-flight windows across sessions\n"
-         "  --max-queue-delay-ms 0   shed windows queued longer than this\n"
-         "  --max-consecutive-shed 8 --circuit-open-after 5\n"
-         "  --circuit-probe-after 16\n"
-         "  --telemetry-port P   expose /metrics /healthz /statusz on\n"
-         "                       127.0.0.1:P (Prometheus text format)\n"
-         "  --resident-bytes 0   mapped (v4) models: LRU byte budget for\n"
-         "                       materialized edge decode state (0 = all)\n"
-         "  --resident-edges 0   mapped models: cap on materialized edges\n"
          "  --force-heap-fallback  read v4 artifacts into heap memory\n"
          "                       instead of mmap (debug/portability)\n"
-         "  --kernels auto|scalar|avx2   compute-kernel backend\n"
-         "                       (default auto: DESMINE_KERNELS env, else\n"
-         "                       avx2 when this CPU has it, else scalar)\n"
-         "  --slow-window-ms MS  log span trees of windows slower than MS\n"
-         "  --sliding-window-s 60 --sliding-epochs 6\n"
-         "  --health-drop-after 3 --health-stale-after 0 --health-unk-rate\n"
-         "  0.5 --health-unk-window 64 --health-readmit-after 8\n"
          "  --log-level L --log-json FILE --metrics-out FILE\n"
+         "knob flags: flag, default, config key\n"
+      << tools::knob_usage(kKnobSections)
+      << "  (--telemetry-port P > 0 exposes /metrics /healthz /statusz on\n"
+         "   127.0.0.1:P; --resident-bytes/--resident-edges budget mapped\n"
+         "   (v4) models' materialized edges, 0 = all; --kernels auto:\n"
+         "   DESMINE_KERNELS env, else avx2 when this CPU has it, else scalar)\n"
          "protocol: one flat JSON object per line; see the tool header\n"
          "lifecycle ops: shadow (arm a candidate), promote (gate-checked\n"
          "hot swap), rollback (discard; serving untouched) — DESIGN.md §14\n"
